@@ -166,8 +166,9 @@ class CommutatorAudit:
 
     ``pattern_max_deviation`` maps each candidate closed form of
     [a_minus, a_plus] to its worst entry deviation; ``interior_max_deviation``
-    measures [pi1, pi2] against -i kappa1 kappa2 I on round indices
-    0 .. N-2; ``payoff_sign`` is the computed sign s in
+    measures [pi1, pi2] against -i kappa1 kappa2 I on the interior round
+    indices, 0 .. N-2 in finite mode and 1 .. N-2 in periodic mode (|0>
+    commutes there); ``payoff_sign`` is the computed sign s in
     [pi1, pi2] = s * i kappa1 kappa2 I there (-1 under this matrix
     convention); ``zero_sector_value`` is <0| [pi1, pi2] |0>.
     """
@@ -200,11 +201,13 @@ def audit_commutators(gs: GameSpace) -> CommutatorAudit:
     }
     max_dev = {name: float(np.max(dev)) for name, dev in entry_dev.items()}
 
-    n_interior = max(gs.rounds_max - 1, 0)
-    scale = gs.kappa1 * gs.kappa2
-    if n_interior > 0:
-        block = payoff_comm[:n_interior, :n_interior]
-        target = -1j * scale * np.eye(n_interior)
+    # interior: 0 .. N-2 in finite mode, 1 .. N-2 in periodic mode, where
+    # the |0> sector commutes
+    lo = 0 if gs.mode == "finite" else 1
+    hi = max(gs.rounds_max - 1, lo)
+    if hi > lo:
+        block = payoff_comm[lo:hi, lo:hi]
+        target = -1j * gs.kappa1 * gs.kappa2 * np.eye(hi - lo)
         interior_dev = float(np.max(np.abs(block - target)))
     else:
         interior_dev = 0.0

@@ -2,14 +2,13 @@
 
 Matrices are plain ``complex128`` numpy arrays; all functions treat their
 arguments as immutable and return fresh arrays.  The Hermitian eigensolver is
-self-contained (cyclic Jacobi sweeps on the doubled real-symmetric embedding)
-so that its sweep order, tie-breaking and phase convention are fully pinned
-down and runs are bit-reproducible.
+self-contained (complex Jacobi sweeps in a fixed round-robin ordering, each
+step a batch of disjoint rotations) so that its rotation order, tie-breaking
+and phase convention are fully pinned down and runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ from .errors import ConvergenceError, InputError
 HERMITIAN_TOL = 1e-12
 EIGEN_TOL = 1e-10
 EIGEN_DIM_MAX = 512
-CLUSTER_GAP = 1e-8
 STATE_NORM_TOL = 1e-12
 
 _MAX_SWEEPS = 60
@@ -140,54 +138,80 @@ class SpectralDecomposition:
     """Real eigenvalues (ascending) with orthonormal eigenvector columns.
 
     ``vectors[:, k]`` pairs with ``eigenvalues[k]``.  ``parity`` is filled by
-    callers that know a block structure; it is None here.
+    callers that know a block structure; it is None here.  ``sweeps`` is the
+    number of Jacobi sweeps the solver ran (0 for a zero matrix).
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     parity: tuple[str, ...] | None = None
+    sweeps: int = 0
 
 
-def _jacobi_real_symmetric(s: np.ndarray, scale: float):
-    """Cyclic Jacobi on a real symmetric matrix, fixed (p, q) sweep order.
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One sweep of the round-robin parallel ordering (Brent & Luk, 1985).
 
-    Returns (diagonal, accumulated rotations).  Raises ConvergenceError with
-    the final off-diagonal norm if _MAX_SWEEPS sweeps do not suffice.
+    Index 0 stays put while 1 .. m-1 (m = n rounded up to even) turn one
+    place per step, so each of the m - 1 steps pairs every index with a
+    fresh partner and the sweep meets every pair exactly once.  Pairs with
+    the padding index of odd n are dropped.  Each step is (p, q) index
+    arrays with p < q, disjoint within the step.
     """
-    n = s.shape[0]
-    v = np.eye(n)
+    m = n + n % 2
+    ring = np.arange(1, m)
+    steps = []
+    for r in range(m - 1):
+        order = np.concatenate(([0], np.roll(ring, -r)))
+        a, b = order[: m // 2], order[: m // 2 - 1 : -1]
+        p, q = np.minimum(a, b), np.maximum(a, b)
+        keep = q < n
+        steps.append((p[keep], q[keep]))
+    return steps
+
+
+def _jacobi_hermitian(a: np.ndarray, scale: float):
+    """Parallel-ordered Jacobi on a complex Hermitian matrix (left unchanged).
+
+    Each step annihilates the (p, q) entries of up to n/2 disjoint pairs at
+    once with U = diag(1, e^{-i phi}) G: the phase turns a_pq real, the real
+    Givens rotation G zeroes it.  U is applied to the columns and rows of
+    ``a`` and to the columns of the accumulated V.  Returns (diagonal, V,
+    sweeps); raises ConvergenceError with the final off-diagonal norm if
+    _MAX_SWEEPS sweeps do not suffice.
+    """
+    n = a.shape[0]
+    w = np.concatenate((a, np.eye(n, dtype=complex)))  # [a; V]: both take x <- x U
+    a, v = w[:n], w[n:]
+    steps = _round_robin(n)
     off = 0.0
-    for _ in range(_MAX_SWEEPS):
-        offmat = s - np.diag(np.diag(s))
-        off = float(np.sqrt(np.sum(offmat * offmat)))
+    for sweep in range(_MAX_SWEEPS):
+        offmat = a - np.diag(np.diag(a))
+        off = float(np.sqrt(np.sum(offmat.real**2 + offmat.imag**2)))
         if off <= 1e-14 * scale:
-            return np.diag(s).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = s[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (s[q, q] - s[p, p]) / (2.0 * apq)
-                if theta != 0.0:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                else:
-                    t = 1.0
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                rp = s[p, :].copy()
-                rq = s[q, :].copy()
-                s[p, :] = c * rp - sn * rq
-                s[q, :] = sn * rp + c * rq
-                cp = s[:, p].copy()
-                cq = s[:, q].copy()
-                s[:, p] = c * cp - sn * cq
-                s[:, q] = sn * cp + c * cq
-                s[p, q] = 0.0
-                s[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
+            return np.diag(a).real.copy(), v, sweep
+        for p, q in steps:
+            app = a[p, p].real
+            aqq = a[q, q].real
+            apq = a[p, q]
+            r = np.abs(apq)
+            live = r > 1e-300
+            rs = np.where(live, r, 1.0)
+            theta = (aqq - app) / (2.0 * rs)
+            t = np.where(live, np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0)), 0.0)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            e = np.where(live, apq.conj() / rs, 1.0)  # e^{-i phi}
+            es, ec = e * s, e * c
+            wp, wq = w[:, p], w[:, q]  # columns: a <- a U, V <- V U
+            w[:, p] = wp * c - wq * es
+            w[:, q] = wp * s + wq * ec
+            ap, aq = a[p, :], a[q, :]  # rows: a <- U^H a
+            a[p, :] = c[:, None] * ap - es.conj()[:, None] * aq
+            a[q, :] = s[:, None] * ap + ec.conj()[:, None] * aq
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            a[p, p] = app - t * r
+            a[q, q] = aqq + t * r
     raise ConvergenceError(
         f"Jacobi sweeps did not converge: off-diagonal norm {off:.3e}", residual=off
     )
@@ -204,12 +228,12 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 def hermitian_eigen(m, tol: float = EIGEN_TOL) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
-    The complex problem is embedded as the real symmetric ``[[Re, -Im],
-    [Im, Re]]`` of twice the size, diagonalized by cyclic Jacobi sweeps, and
-    the exactly doubled spectrum is reduced back by Gram-Schmidt pairing
-    inside eigenvalue clusters (gap below CLUSTER_GAP).  Eigenvalues are
-    returned ascending; each eigenvector's first significant component has
-    phase 0, so identical inputs give identical output bytes.
+    The matrix is rotated directly by complex Jacobi sweeps in the fixed
+    round-robin ordering, each step a batch of disjoint phase-times-Givens
+    rotations, until the off-diagonal Frobenius norm is below 1e-14 of the
+    whole.  Eigenvalues are returned ascending (stable sort); each
+    eigenvector's first significant component has phase 0, so identical
+    inputs give identical output bytes.  ``sweeps`` counts the sweeps run.
 
     Raises InputError for non-Hermitian input or dimension above
     EIGEN_DIM_MAX, ConvergenceError if sweeps stall or the decomposition
@@ -225,56 +249,19 @@ def hermitian_eigen(m, tol: float = EIGEN_TOL) -> SpectralDecomposition:
         )
     m = (m + m.conj().T) / 2.0  # fold the sub-tolerance asymmetry away
 
-    s = np.block([[m.real, -m.imag], [m.imag, m.real]])
-    scale = float(np.sqrt(np.sum(s * s)))
+    scale = float(np.sqrt(np.sum(m.real**2 + m.imag**2)))
     if scale == 0.0:
         return SpectralDecomposition(np.zeros(n), np.eye(n, dtype=complex))
 
-    lam, v = _jacobi_real_symmetric(s, scale)
+    lam, vecs, sweeps = _jacobi_hermitian(m, scale)
     order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    v = v[:, order]
-
-    gap = CLUSTER_GAP * max(1.0, float(np.max(np.abs(lam))))
-    values: list[float] = []
-    vectors: list[np.ndarray] = []
-    i = 0
-    while i < 2 * n:
-        j = i
-        while j + 1 < 2 * n and lam[j + 1] - lam[j] < gap:
-            j += 1
-        accepted: list[np.ndarray] = []
-        for k in range(i, j + 1):
-            cand = v[:n, k] + 1j * v[n:, k]
-            for a in accepted:
-                cand = cand - (a.conj() @ cand) * a
-            nrm = float(np.linalg.norm(cand))
-            if nrm <= 1e-6:
-                continue  # the i*v partner of an already accepted vector
-            cand = cand / nrm
-            for a in accepted:
-                cand = cand - (a.conj() @ cand) * a
-            cand = cand / np.linalg.norm(cand)
-            accepted.append(cand)
-            values.append(float((cand.conj() @ (m @ cand)).real))
-        if 2 * len(accepted) != j - i + 1:
-            raise ConvergenceError(
-                f"eigenvalue cluster of size {j - i + 1} yielded {len(accepted)} "
-                "complex directions instead of half"
-            )
-        vectors.extend(accepted)
-        i = j + 1
-
-    eigenvalues = np.array(values)
-    vecs = np.column_stack(vectors)
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
+    eigenvalues = lam[order]
     vecs = vecs[:, order]
     for k in range(n):
         vecs[:, k] = _fix_phase(vecs[:, k])
 
     _check_decomposition(m, eigenvalues, vecs, tol)
-    return SpectralDecomposition(eigenvalues, vecs)
+    return SpectralDecomposition(eigenvalues, vecs, sweeps=sweeps)
 
 
 def _check_decomposition(m, eigenvalues, vecs, tol):

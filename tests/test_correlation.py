@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantumtoss.correlation import (
     classify_signs,
@@ -12,6 +14,7 @@ from quantumtoss.correlation import (
 )
 from quantumtoss.errors import InputError, StructureError
 from quantumtoss.gamespace import GameSpace, build_operators, build_precorrelation
+from quantumtoss.numerics import hermitian_eigen
 
 SQRT_HALF = math.sqrt(0.5)
 PEARSON_DIM3 = 2.0 * math.sqrt(2.0) / 3.0
@@ -195,3 +198,63 @@ def test_rows_sorted_ascending():
 def test_periodic_mode_reports_mixed_parity():
     report = correlation_spectrum(GameSpace(3, mode="periodic"))
     assert all(row.parity == "mixed" for row in report.rows)
+
+
+def test_parity_blocks_names_first_offending_entry_row_major():
+    pc = build_precorrelation(GameSpace(6))
+    pc[4, 0] = 0.5  # |m - n| = 4, but row-major order meets (2, 5) first
+    pc[2, 5] = pc[5, 2] = 0.25j  # |m - n| = 3
+    with pytest.raises(StructureError, match=r"entry \(2, 5\)"):
+        parity_blocks(pc)
+
+
+def test_spectrum_rejects_rounds_above_eigen_ceiling_before_building(monkeypatch):
+    import quantumtoss.correlation as corr_mod
+    from quantumtoss.numerics import EIGEN_DIM_MAX
+
+    def forbidden(gs):
+        raise AssertionError("operators built before the ceiling check")
+
+    monkeypatch.setattr(corr_mod, "build_operators", forbidden)
+    # finite parity blocks of rounds 600 are only ~300 wide; the ceiling is on dim
+    for mode in ("finite", "periodic"):
+        with pytest.raises(InputError, match=str(EIGEN_DIM_MAX)):
+            correlation_spectrum(GameSpace(EIGEN_DIM_MAX, mode=mode))
+        with pytest.raises(InputError):
+            correlation_spectrum(GameSpace(600, mode=mode))
+
+
+def test_spectrum_huge_kappa_stays_finite():
+    base = correlation_spectrum(GameSpace(3))
+    report = correlation_spectrum(GameSpace(3, kappa1=1e200))
+    for row, ref in zip(report.rows, base.rows):
+        values = (row.eigenvalue, row.sigma1, row.sigma2, row.correlation)
+        assert all(math.isfinite(v) for v in values)
+        assert row.eigenvalue == pytest.approx(1e200 * ref.eigenvalue, rel=1e-12)
+        assert row.sign_class == ref.sign_class
+        assert row.pearson == ref.pearson
+
+
+def test_spectrum_rejects_kappa_overflow():
+    with pytest.raises(InputError, match="overflow"):
+        correlation_spectrum(GameSpace(3, kappa1=1e200, kappa2=1e200))
+    with pytest.raises(InputError, match="overflow"):  # finite product, sigma1 overflows
+        correlation_spectrum(GameSpace(20, kappa1=1e308, kappa2=1e-308))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    rounds=st.integers(1, 24),
+    mode=st.sampled_from(["finite", "periodic"]),
+    kappa1=st.floats(1e-3, 1e3),
+    kappa2=st.floats(1e-3, 1e3),
+)
+def test_kappa_scaling_covariance_property(rounds, mode, kappa1, kappa2):
+    # lambda(kappa1, kappa2) = kappa1 kappa2 lambda(1, 1), checked against the
+    # solver run on the kappa-scaled matrix itself
+    scale = kappa1 * kappa2
+    unit = correlation_spectrum(GameSpace(rounds, mode=mode)).eigenvalues
+    scaled = correlation_spectrum(GameSpace(rounds, mode, kappa1, kappa2)).eigenvalues
+    np.testing.assert_allclose(scaled, scale * unit, rtol=1e-14, atol=0)
+    direct = hermitian_eigen(build_precorrelation(GameSpace(rounds, mode, kappa1, kappa2)))
+    np.testing.assert_allclose(direct.eigenvalues, scale * unit, atol=1e-10 * max(1.0, scale))

@@ -161,6 +161,14 @@ def test_audit_interior_payoff_commutator():
     assert audit.payoff_sign == -1
 
 
+def test_audit_periodic_interior_excludes_zero_sector():
+    # periodic interior is 1 .. N-2: |0> commutes and must not count
+    for rounds in (2, 3, 4, 9, 16, 40):
+        for kappa1, kappa2 in ((1.0, 1.0), (2.5, 0.3), (1e3, 1e-2)):
+            audit = audit_commutators(GameSpace(rounds, "periodic", kappa1, kappa2))
+            assert audit.interior_max_deviation <= 1e-12 * kappa1 * kappa2
+
+
 def test_audit_periodic_pattern_exact():
     audit = audit_commutators(GameSpace(2, mode="periodic"))
     np.testing.assert_allclose(

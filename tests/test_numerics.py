@@ -230,3 +230,34 @@ def test_degenerate_spectrum_still_orthonormal():
     np.testing.assert_allclose(dec.eigenvalues, [1, 1, 1, 2, 2, 5], atol=1e-10)
     gram = dec.vectors.conj().T @ dec.vectors
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
+
+
+@pytest.mark.parametrize("mode", ["finite", "periodic"])
+@pytest.mark.parametrize("rounds", [5, 16, 24, 37, 40, 64, 65, 128])
+def test_hermitian_eigen_precorrelation_matches_eigvalsh(rounds, mode):
+    # eigvalsh is a test oracle only; the rounds cover the N at which the
+    # former sweep order nearly stalled and both parities of the dimension
+    from quantumtoss.gamespace import build_precorrelation
+
+    pc = build_precorrelation(GameSpace(rounds, mode=mode))
+    dec = nx.hermitian_eigen(pc)
+    np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(pc), atol=1e-9)
+    assert 1 <= dec.sweeps <= 12
+
+
+def test_hermitian_eigen_zero_matrix_needs_no_sweep():
+    dec = nx.hermitian_eigen(np.zeros((3, 3)))
+    np.testing.assert_array_equal(dec.eigenvalues, np.zeros(3))
+    np.testing.assert_array_equal(dec.vectors, np.eye(3))
+    assert dec.sweeps == 0
+
+
+def test_round_robin_sweep_meets_every_pair_once():
+    import itertools
+
+    for n in (1, 2, 5, 16, 37):
+        steps = nx._round_robin(n)
+        pairs = [(int(p), int(q)) for ps, qs in steps for p, q in zip(ps, qs)]
+        assert sorted(pairs) == list(itertools.combinations(range(n), 2))
+        for ps, qs in steps:  # rotations of one step touch disjoint indices
+            assert len(set(ps.tolist()) | set(qs.tolist())) == 2 * len(ps)

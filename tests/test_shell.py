@@ -264,6 +264,42 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "peaks", "--n", "500")[0] == 2
 
 
+def test_spectrum_huge_kappa_exits_zero_with_finite_values(capsys):
+    code, out, err = run(capsys, "spectrum", "--rounds", "3", "--kappa1", "1e200")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert len(rows) == 4
+    for name in ("eigenvalue", "sigma1", "sigma2", "correlation"):
+        col = header.index(name)
+        assert all(math.isfinite(float(r[col])) for r in rows), name
+    assert sorted(r[9] for r in rows) == ["-1", "-1", "1", "1"]
+
+
+def test_spectrum_kappa_product_overflow_exit_2(capsys):
+    code, _, err = run(
+        capsys, "spectrum", "--rounds", "3", "--kappa1", "1e200", "--kappa2", "1e200"
+    )
+    assert code == 2
+    assert "overflow" in err
+
+
+def test_rounds_ceilings_exit_2(capsys):
+    from quantumtoss.cli import SWEEP_ROUNDS_MAX
+    from quantumtoss.numerics import EIGEN_DIM_MAX
+
+    too_many = str(EIGEN_DIM_MAX)  # dimension EIGEN_DIM_MAX + 1
+    for mode in ("finite", "periodic"):
+        code, _, err = run(capsys, "spectrum", "--rounds", too_many, "--mode", mode)
+        assert code == 2 and str(EIGEN_DIM_MAX) in err
+        code, _, err = run(capsys, "spectrum", "--rounds", "600", "--mode", mode)
+        assert code == 2 and str(EIGEN_DIM_MAX) in err
+        code, _, err = run(
+            capsys, "sweep", "--rounds-max", str(SWEEP_ROUNDS_MAX + 1), "--mode", mode
+        )
+        assert code == 2 and str(SWEEP_ROUNDS_MAX) in err
+    assert run(capsys, "sweep", "--rounds-max", "600")[0] == 2
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
