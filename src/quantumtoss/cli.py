@@ -44,7 +44,7 @@ from .svgplot import MarkerGroup, Series, render_svg
 
 PROG = "quantumtoss"
 # largest --rounds-max of `sweep`: 128 spectra up to dimension 129, which
-# took 21 s in periodic mode (12 s finite) on a 2-vCPU Linux VM
+# took 20-21 s in periodic mode (8-12 s finite) on a 2-vCPU Linux VM
 SWEEP_ROUNDS_MAX = 128
 
 
