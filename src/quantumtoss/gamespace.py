@@ -62,46 +62,18 @@ def build_ladder(gs: GameSpace) -> tuple[np.ndarray, np.ndarray]:
     it to |0>); in periodic mode a_plus[0, N] = 1, the unique wrap weight
     whose ladder commutator is diag(0, 1, ..., 1, 1-N).
     """
-    d = gs.dim
-    a_plus = np.zeros((d, d), dtype=complex)
-    for n in range(gs.rounds_max):
-        a_plus[n + 1, n] = math.sqrt(n + 1)
+    a_plus = np.diag(np.sqrt(np.arange(1, gs.dim, dtype=float)), -1).astype(complex)
     if gs.mode == "periodic":
         a_plus[0, gs.rounds_max] = 1.0
     return a_plus, adjoint(a_plus)
 
 
-def build_number(gs: GameSpace) -> np.ndarray:
-    """Round counter a_plus @ a_minus.
-
-    diag(0, 1, ..., N) in finite mode; periodic mode gives diag(1, 1, 2,
-    ..., N) because lowering |0> lands on |N> under the wrap.
-    """
-    a_plus, a_minus = build_ladder(gs)
-    return a_plus @ a_minus
-
-
-def build_payoffs(gs: GameSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian pay-off matrices of both players.
-
-    pi1 = kappa1 (a_plus + a_minus) / sqrt(2) couples n <-> n+-1 with real
-    weights; pi2 = -i kappa2 (a_plus - a_minus) / sqrt(2) with imaginary
-    ones.  Boundary rows/columns inherit the mode of the ladder.
-    """
-    a_plus, a_minus = build_ladder(gs)
-    pi1 = gs.kappa1 * (a_plus + a_minus) / math.sqrt(2.0)
-    pi2 = -1j * gs.kappa2 * (a_plus - a_minus) / math.sqrt(2.0)
-    return pi1, pi2
-
-
-def build_precorrelation(gs: GameSpace) -> np.ndarray:
-    """Symmetrized pay-off product (pi1 pi2 + pi2 pi1) / 2.
-
-    Hermitian with purely imaginary entries; in finite mode it couples only
-    round states two apart.
-    """
-    pi1, pi2 = build_payoffs(gs)
-    return 0.5 * (pi1 @ pi2 + pi2 @ pi1)
+def _require_finite(gs: GameSpace, what: str, *arrays) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise InputError(
+            f"kappa1 = {gs.kappa1:.3e}, kappa2 = {gs.kappa2:.3e} overflow the {what} "
+            f"at rounds {gs.rounds_max}"
+        )
 
 
 @dataclass(frozen=True)
@@ -118,9 +90,21 @@ class OperatorSet:
 
 
 def build_operators(gs: GameSpace) -> OperatorSet:
+    """Ladder, round counter, pay-offs and their symmetrized product.
+
+    number = a_plus a_minus is diag(0, 1, ..., N), or diag(1, 1, 2, ..., N)
+    periodic (lowering |0> lands on |N>).  pi1 = kappa1 (a_plus + a_minus) /
+    sqrt(2) has real weights, pi2 = -i kappa2 (a_plus - a_minus) / sqrt(2)
+    imaginary ones; precorrelation = (pi1 pi2 + pi2 pi1) / 2 is Hermitian,
+    purely imaginary, and in finite mode couples only states two apart.  A
+    kappa scaling that leaves any entry non-finite is an InputError.
+    """
     a_plus, a_minus = build_ladder(gs)
-    pi1 = gs.kappa1 * (a_plus + a_minus) / math.sqrt(2.0)
-    pi2 = -1j * gs.kappa2 * (a_plus - a_minus) / math.sqrt(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        pi1 = gs.kappa1 * (a_plus + a_minus) / math.sqrt(2.0)
+        pi2 = -1j * gs.kappa2 * (a_plus - a_minus) / math.sqrt(2.0)
+        precorrelation = 0.5 * (pi1 @ pi2 + pi2 @ pi1)
+    _require_finite(gs, "pay-off operators", pi1, pi2, precorrelation)
     return OperatorSet(
         gamespace=gs,
         a_plus=a_plus,
@@ -128,8 +112,24 @@ def build_operators(gs: GameSpace) -> OperatorSet:
         number=a_plus @ a_minus,
         pi1=pi1,
         pi2=pi2,
-        precorrelation=0.5 * (pi1 @ pi2 + pi2 @ pi1),
+        precorrelation=precorrelation,
     )
+
+
+def build_number(gs: GameSpace) -> np.ndarray:
+    """Round counter a_plus @ a_minus (see build_operators)."""
+    return build_operators(gs).number
+
+
+def build_payoffs(gs: GameSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian pay-off matrices (pi1, pi2) of both players (see build_operators)."""
+    ops = build_operators(gs)
+    return ops.pi1, ops.pi2
+
+
+def build_precorrelation(gs: GameSpace) -> np.ndarray:
+    """Symmetrized pay-off product (pi1 pi2 + pi2 pi1) / 2 (see build_operators)."""
+    return build_operators(gs).precorrelation
 
 
 def ladder_commutator_diagonal(gs: GameSpace) -> np.ndarray:
@@ -187,7 +187,9 @@ class CommutatorAudit:
 def audit_commutators(gs: GameSpace) -> CommutatorAudit:
     ops = build_operators(gs)
     ladder_comm = commutator(ops.a_minus, ops.a_plus)
-    payoff_comm = commutator(ops.pi1, ops.pi2)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        payoff_comm = commutator(ops.pi1, ops.pi2)
+    _require_finite(gs, "pay-off commutator", payoff_comm)
 
     if gs.mode == "finite":
         candidates = {
@@ -212,12 +214,8 @@ def audit_commutators(gs: GameSpace) -> CommutatorAudit:
     else:
         interior_dev = 0.0
 
-    sign_index = 0 if gs.mode == "finite" else 1
-    if sign_index <= gs.rounds_max - 1:
-        probe = payoff_comm[sign_index, sign_index].imag
-        payoff_sign = -1 if probe < 0 else (1 if probe > 0 else 0)
-    else:
-        payoff_sign = 0
+    probe = payoff_comm[lo, lo].imag if lo < gs.rounds_max else 0.0  # first interior state
+    payoff_sign = int(np.sign(probe))
 
     return CommutatorAudit(
         gamespace=gs,
@@ -249,18 +247,13 @@ def payoff_variance(gs: GameSpace, n: int, player: int) -> PayoffVariance:
     """
     if player not in (1, 2):
         raise InputError(f"player must be 1 or 2, got {player!r}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InputError("round index must be an integer")
-    if not 0 <= n <= gs.rounds_max:
-        raise InputError(f"round index {n} outside 0..{gs.rounds_max}")
-    pi1, pi2 = build_payoffs(gs)
-    pi = pi1 if player == 1 else pi2
-    state = number_state(gs, n)
+    state = number_state(gs, n)  # validates n
+    kappa = gs.kappa1 if player == 1 else gs.kappa2
+    # the other player's kappa does not enter; leaving it out keeps the
+    # unused pre-correlation from overflowing
+    pi = build_payoffs(GameSpace(gs.rounds_max, gs.mode, kappa, kappa))[player - 1]
     value = expectation(state, pi @ pi).real
-    if gs.mode == "finite":
-        interior = n <= gs.rounds_max - 1
-    else:
-        interior = 1 <= n <= gs.rounds_max - 1
+    interior = n < gs.rounds_max and (n >= 1 or gs.mode == "finite")
     return PayoffVariance(value=float(value), interior=interior)
 
 

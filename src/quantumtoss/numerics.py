@@ -228,12 +228,13 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 def hermitian_eigen(m, tol: float = EIGEN_TOL) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
-    The matrix is rotated directly by complex Jacobi sweeps in the fixed
-    round-robin ordering, each step a batch of disjoint phase-times-Givens
-    rotations, until the off-diagonal Frobenius norm is below 1e-14 of the
-    whole.  Eigenvalues are returned ascending (stable sort); each
-    eigenvector's first significant component has phase 0, so identical
-    inputs give identical output bytes.  ``sweeps`` counts the sweeps run.
+    The matrix, scaled to unit size by an exact power of two, is rotated
+    directly by complex Jacobi sweeps in the fixed round-robin ordering, each
+    step a batch of disjoint phase-times-Givens rotations, until the
+    off-diagonal Frobenius norm is below 1e-14 of the whole.  Eigenvalues are
+    returned ascending (stable sort); each eigenvector's first significant
+    component has phase 0, so identical inputs give identical output bytes.
+    ``sweeps`` counts the sweeps run.
 
     Raises InputError for non-Hermitian input or dimension above
     EIGEN_DIM_MAX, ConvergenceError if sweeps stall or the decomposition
@@ -249,13 +250,16 @@ def hermitian_eigen(m, tol: float = EIGEN_TOL) -> SpectralDecomposition:
         )
     m = (m + m.conj().T) / 2.0  # fold the sub-tolerance asymmetry away
 
-    scale = float(np.sqrt(np.sum(m.real**2 + m.imag**2)))
-    if scale == 0.0:
+    peak = float(np.max(np.abs(m)))
+    if peak == 0.0:
         return SpectralDecomposition(np.zeros(n), np.eye(n, dtype=complex))
+    e = max(int(np.frexp(peak)[1]), -1021)  # 2^e is within a factor 2 of max |m|
+    unit = m * np.ldexp(1.0, -e)
+    scale = float(np.sqrt(np.sum(unit.real**2 + unit.imag**2)))
 
-    lam, vecs, sweeps = _jacobi_hermitian(m, scale)
+    lam, vecs, sweeps = _jacobi_hermitian(unit, scale)
     order = np.argsort(lam, kind="stable")
-    eigenvalues = lam[order]
+    eigenvalues = np.ldexp(lam[order], e)
     vecs = vecs[:, order]
     for k in range(n):
         vecs[:, k] = _fix_phase(vecs[:, k])

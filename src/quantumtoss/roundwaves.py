@@ -2,10 +2,12 @@
 
 In the dimensionless pay-off variable xi the round-n state solves
 -psi'' + xi^2 psi = (2n + 1) psi, so the wavefunctions are normalized
-Hermite functions.  This module evaluates them stably, locates density
-peaks, compares against the classical +-1-step random walk seeded with the
-round-zero Gaussian, and scans the normalization divergence of the
-continuous correlation eigenfunctions under both operator orderings.
+Hermite functions.  This module evaluates them stably and locates the
+density peaks by one array bisection between the Hermite zeros, which are
+the spectrum of the finite-mode pay-off matrix pi1.  It compares against
+the classical +-1-step random walk seeded with the round-zero Gaussian, and
+scans the normalization divergence of the continuous correlation
+eigenfunctions under both operator orderings.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
+from .gamespace import GameSpace, build_payoffs
+from .numerics import hermitian_eigen
 
 HERMITE_N_MAX = 300
 PEAKS_N_MAX = 100
@@ -47,8 +51,8 @@ def hermite(n: int, xi):
     """Physicists' Hermite polynomial H_n by the forward recurrence.
 
     H_0 = 1, H_1 = 2 xi, H_{k+1} = 2 xi H_k - 2 k H_{k-1}.  Accepts scalars
-    or arrays; orders above HERMITE_N_MAX are rejected (double overflow
-    risk in the raw polynomial values).
+    or arrays; orders above HERMITE_N_MAX are rejected, and so is a grid on
+    which the raw polynomial values overflow (psi stays bounded there).
     """
     _check_round(n, HERMITE_N_MAX)
     x = _as_grid(xi)
@@ -58,8 +62,12 @@ def hermite(n: int, xi):
     if n == 0:
         return float(h_prev[0]) if scalar else h_prev
     h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for k in range(1, n):
+            h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
+    if not np.all(np.isfinite(h)):
+        big = float(np.max(np.abs(x)))
+        raise InputError(f"H_{n} overflows double precision on a grid reaching |xi| = {big:.6g}")
     return float(h[0]) if scalar else h
 
 
@@ -114,48 +122,45 @@ def density_grid(n: int, xi_min: float, xi_max: float, samples: int) -> DensityG
     return DensityGrid(n=int(n), xi=xi, psi=wave, density=wave * wave)
 
 
-def _bisect(fn, lo: float, hi: float) -> float:
-    """Root of fn in [lo, hi] by bisection; the bracket must change sign."""
-    flo = fn(lo)
-    fhi = fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ConvergenceError(f"no sign change on bracket [{lo!r}, {hi!r}]")
-    while hi - lo > BISECT_XTOL:
+def _bisect(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Roots of the elementwise fn, one in each sign-changing bracket [lo[i], hi[i]].
+
+    All brackets halve together, one call of fn per step, for the fixed
+    ceil(log2(max width / BISECT_XTOL)) steps; a bracket whose midpoint has
+    fn exactly 0 collapses onto that point.
+    """
+    rising = fn(lo) > 0  # fn keeps the sign of fn(lo) below the root
+    bad = np.flatnonzero(rising == (fn(hi) > 0))
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceError(
+            f"no sign change on bracket {i}: [{float(lo[i])!r}, {float(hi[i])!r}]"
+        )
+    width = float(np.max(hi - lo))
+    steps = math.ceil(math.log2(width / BISECT_XTOL)) if width > BISECT_XTOL else 0
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval no longer splittable in doubles
         fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
+        below = (fmid > 0) == rising
+        lo = np.where(below | (fmid == 0), mid, lo)
+        hi = np.where(below & (fmid != 0), hi, mid)
     return 0.5 * (lo + hi)
 
 
 def hermite_zeros(n: int) -> np.ndarray:
-    """The n simple real zeros of H_n, ascending, to 1e-12.
+    """The n simple real zeros of H_n, ascending.
 
-    Built inductively: the zeros of H_{k-1} interlace those of H_k, so they
-    provide sign-change brackets, padded by the outer bound
-    sqrt(2k + 1) + 2.  The bisection runs on psi_k, which shares the zeros
-    of H_k but stays bounded at every order.
+    They are the eigenvalues of the symmetric tridiagonal Jacobi matrix with
+    off-diagonal sqrt(k/2), k = 1 .. n-1 (Golub & Welsch, 1969), which is
+    the finite-mode pay-off matrix pi1 = (a_plus + a_minus) / sqrt(2) at
+    kappa = 1 on the round states |0> ... |n-1>.  The spectrum from
+    hermitian_eigen is folded to exact negation symmetry, as the zeros are.
     """
     _check_round(n, PEAKS_N_MAX)
     if n < 1:
         raise InputError("zero count is defined for n >= 1")
-    zeros = np.zeros(1)
-    for k in range(2, n + 1):
-        outer = math.sqrt(2.0 * k + 1.0) + 2.0
-        pts = np.concatenate(([-outer], zeros, [outer]))
-        fn = lambda x, k=k: psi(k, x)
-        zeros = np.array([_bisect(fn, pts[i], pts[i + 1]) for i in range(k)])
-    return zeros
+    lam = hermitian_eigen(build_payoffs(GameSpace(n - 1))[0]).eigenvalues
+    return 0.5 * (lam - lam[::-1])
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ class PeakSet:
 
 
 def density_peaks(n: int) -> PeakSet:
-    """Locate all maxima of P_n by bracketed bisection.
+    """Locate all maxima of P_n by one array bisection over n + 1 brackets.
 
     The stationarity condition 2n H_{n-1}(xi) - xi H_n(xi) = 0 is solved as
     sqrt(2n) psi_{n-1} - xi psi_n (the same function times the positive
@@ -182,20 +187,15 @@ def density_peaks(n: int) -> PeakSet:
         return PeakSet(n=0, maxima=np.zeros(1), classical_centers=centers)
 
     root_factor = math.sqrt(2.0 * n)
-
-    def slope(x):
-        return root_factor * psi(n - 1, x) - x * psi(n, x)
-
-    zeros = hermite_zeros(n)
     outer = math.sqrt(2.0 * n + 1.0) + 2.0
-    pts = np.concatenate(([-outer], zeros, [outer]))
-    maxima = np.array([_bisect(slope, pts[i], pts[i + 1]) for i in range(n + 1)])
+    pts = np.concatenate(([-outer], hermite_zeros(n), [outer]))
+    maxima = _bisect(lambda x: root_factor * psi(n - 1, x) - x * psi(n, x), pts[:-1], pts[1:])
 
     h = 1e-4
-    for x in maxima:
-        d2 = psi(n, x + h) ** 2 - 2.0 * psi(n, x) ** 2 + psi(n, x - h) ** 2
-        if d2 >= 0.0:
-            raise ConvergenceError(f"stationary point {x!r} is not a density maximum")
+    d2 = psi(n, maxima + h) ** 2 - 2.0 * psi(n, maxima) ** 2 + psi(n, maxima - h) ** 2
+    bad = np.flatnonzero(d2 >= 0.0)
+    if bad.size:
+        raise ConvergenceError(f"stationary point {float(maxima[bad[0]])!r} is not a density maximum")
     return PeakSet(n=int(n), maxima=maxima, classical_centers=centers)
 
 
@@ -284,10 +284,9 @@ def compare_quantum_classical(n: int) -> ComparisonReport:
     mixture's outermost centers at +-n, not just the quantum turning point,
     or the classical second moment loses its tails.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise InputError("n must be an integer")
-    if not 1 <= n <= COMPARE_N_MAX:
-        raise InputError(f"n must lie in 1..{COMPARE_N_MAX}")
+    _check_round(n, COMPARE_N_MAX)
+    if n < 1:
+        raise InputError("the comparison needs n >= 1")
     peaks = density_peaks(n)
     half = max(math.sqrt(2.0 * n + 1.0), float(n)) + 6.0
     samples = int(round(2.0 * half / _QUAD_STEP)) + 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,3 +233,35 @@ def test_lowering_annihilates_ground_state_finite():
     gs = GameSpace(3)
     _, a_minus = build_ladder(gs)
     np.testing.assert_array_equal(a_minus @ number_state(gs, 0), np.zeros(4))
+
+
+def test_builders_return_the_operator_set_fields():
+    for mode in ("finite", "periodic"):
+        gs = GameSpace(7, mode=mode, kappa1=0.7, kappa2=2.3)
+        ops = build_operators(gs)
+        np.testing.assert_array_equal(build_ladder(gs)[0], ops.a_plus)
+        np.testing.assert_array_equal(build_number(gs), ops.number)
+        np.testing.assert_array_equal(build_payoffs(gs)[1], ops.pi2)
+        np.testing.assert_array_equal(build_precorrelation(gs), ops.precorrelation)
+
+
+def test_kappa_overflow_is_input_error_naming_both_kappas():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported, not warned about
+        with pytest.raises(InputError, match=r"kappa1 = 1\.000e\+200, kappa2 = 1\.000e\+200"):
+            build_operators(GameSpace(3, kappa1=1e200, kappa2=1e200))
+        # operators finite, but the split products of the commutator overflow
+        gs = GameSpace(10, kappa1=1e300, kappa2=1e-300)
+        assert np.all(np.isfinite(build_operators(gs).pi1))
+        with pytest.raises(InputError, match="kappa1 = 1.000e\\+300.*commutator"):
+            audit_commutators(gs)
+    audit = audit_commutators(GameSpace(3, kappa1=1e300, kappa2=1e-300))
+    assert np.all(np.isfinite(audit.payoff_commutator))
+
+
+def test_payoff_variance_ignores_the_other_kappa():
+    gs = GameSpace(5, kappa1=1e150, kappa2=1e170)
+    assert payoff_variance(gs, 3, 1).value == pytest.approx(3.5e300, rel=1e-12)
+    assert payoff_variance(GameSpace(5, kappa1=1e150), 3, 1).value == (
+        payoff_variance(gs, 3, 1).value
+    )

@@ -261,3 +261,15 @@ def test_round_robin_sweep_meets_every_pair_once():
         assert sorted(pairs) == list(itertools.combinations(range(n), 2))
         for ps, qs in steps:  # rotations of one step touch disjoint indices
             assert len(set(ps.tolist()) | set(qs.tolist())) == 2 * len(ps)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_hermitian_eigen_extreme_scales_match_eigvalsh(scale):
+    # squares of entries near 1e160 overflow and near 1e-170 underflow;
+    # the solver sweeps on an exactly rescaled copy
+    from quantumtoss.gamespace import build_precorrelation
+
+    for m in (scale * build_precorrelation(GameSpace(3)), scale * random_hermitian(11, 7)):
+        dec = nx.hermitian_eigen(m)
+        ref = np.linalg.eigvalsh(m)
+        assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from quantumtoss.errors import InputError
 from quantumtoss.roundwaves import (
+    COMPARE_N_MAX,
+    PEAKS_N_MAX,
     central_second_difference,
     classical_mixture,
     classical_mixture_density,
@@ -50,6 +53,16 @@ def test_hermite_rejects_out_of_range():
         hermite(301, 0.0)
     with pytest.raises(InputError):
         hermite(2, np.nan)
+
+
+def test_hermite_overflow_is_input_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"H_300 .*\|xi\| = 8"):
+            hermite(300, 8.0)
+        with pytest.raises(InputError, match=r"\|xi\| = 8"):
+            hermite(300, np.array([0.5, -8.0]))
+    assert math.isfinite(hermite(150, 8.0))
 
 
 def test_psi_ground_state_peak():
@@ -129,6 +142,28 @@ def test_hermite_zeros_interlace_and_annihilate():
         np.testing.assert_allclose(psi(n, zs), np.zeros(n), atol=1e-10)
         prev = hermite_zeros(n - 1)
         assert np.all(prev > zs[:-1]) and np.all(prev < zs[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 31, 64, 100])
+def test_hermite_zeros_match_eigvalsh(n):
+    # Golub-Welsch: the zeros are the eigenvalues of the Jacobi matrix with
+    # off-diagonal sqrt(k/2); eigvalsh is a test oracle only
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    jacobi = np.diag(off, 1) + np.diag(off, -1)
+    zs = hermite_zeros(n)
+    np.testing.assert_allclose(zs, np.linalg.eigvalsh(jacobi), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(zs, -zs[::-1])
+
+
+def test_density_peaks_every_order_to_the_ceiling():
+    for n in range(PEAKS_N_MAX + 1):
+        maxima = density_peaks(n).maxima
+        assert len(maxima) == n + 1
+        np.testing.assert_array_equal(maxima, -maxima[::-1])  # exact mirror symmetry
+        assert np.all(np.diff(maxima) > 0)
+    zs = hermite_zeros(PEAKS_N_MAX)
+    assert np.all(maxima[:-1] < zs) and np.all(zs < maxima[1:])
+    assert np.max(np.abs(maxima)) < math.sqrt(2.0 * PEAKS_N_MAX + 1.0)
 
 
 def test_density_peaks_frozen():
@@ -250,6 +285,15 @@ def test_compare_second_round_peak_deviation():
     assert rep.outermost_classical_center - rep.outermost_quantum_peak == pytest.approx(
         0.4189, abs=1e-4
     )
+
+
+def test_compare_at_the_ceiling():
+    n = COMPARE_N_MAX
+    rep = compare_quantum_classical(n)
+    assert len(rep.quantum_peaks) == n + 1
+    assert rep.quantum_variance == pytest.approx(n + 0.5, abs=1e-6)
+    assert rep.classical_variance == pytest.approx(n + 0.5, abs=1e-6)
+    assert rep.outermost_quantum_peak < rep.outermost_classical_center
 
 
 def test_compare_range_check():

@@ -283,6 +283,25 @@ def test_spectrum_kappa_product_overflow_exit_2(capsys):
     assert "overflow" in err
 
 
+@pytest.mark.parametrize("command", ["operators", "audit"])
+def test_operator_kappa_overflow_exit_2(capsys, command):
+    code, out, err = run(
+        capsys, command, "--rounds", "3", "--kappa1", "1e200", "--kappa2", "1e200",
+        "--format", "json",
+    )
+    assert code == 2 and out == ""
+    assert "kappa1 = 1.000e+200" in err and "kappa2 = 1.000e+200" in err
+
+
+def test_audit_opposite_extreme_kappas_stay_finite(capsys):
+    code, out, err = run(capsys, "audit", "--rounds", "3", "--kappa1", "1e300", "--kappa2", "1e-300")
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert all(math.isfinite(float(r[1])) for r in rows)
+    code, _, err = run(capsys, "audit", "--rounds", "10", "--kappa1", "1e300", "--kappa2", "1e-300")
+    assert code == 2 and "commutator" in err
+
+
 def test_rounds_ceilings_exit_2(capsys):
     from quantumtoss.cli import SWEEP_ROUNDS_MAX
     from quantumtoss.numerics import EIGEN_DIM_MAX
