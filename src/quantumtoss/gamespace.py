@@ -243,16 +243,18 @@ def payoff_variance(gs: GameSpace, n: int, player: int) -> PayoffVariance:
 
     Equals (n + 1/2) kappa_j^2 whenever |n> is interior (finite mode:
     n <= N-1; periodic mode: 1 <= n <= N-1); boundary states are returned
-    as computed with interior=False.
+    as computed with interior=False.  Computed at kappa = 1 and scaled by
+    kappa_j^2, so the other player's kappa does not enter; InputError if
+    the scaling overflows.
     """
     if player not in (1, 2):
         raise InputError(f"player must be 1 or 2, got {player!r}")
     state = number_state(gs, n)  # validates n
     kappa = gs.kappa1 if player == 1 else gs.kappa2
-    # the other player's kappa does not enter; leaving it out keeps the
-    # unused pre-correlation from overflowing
-    pi = build_payoffs(GameSpace(gs.rounds_max, gs.mode, kappa, kappa))[player - 1]
-    value = expectation(state, pi @ pi).real
+    pi = build_payoffs(GameSpace(gs.rounds_max, gs.mode))[player - 1]
+    value = kappa * kappa * expectation(state, pi @ pi).real
+    if not math.isfinite(value):
+        raise InputError(f"kappa{player} = {kappa:.3e} overflows the mean-squared pay-off")
     interior = n < gs.rounds_max and (n >= 1 or gs.mode == "finite")
     return PayoffVariance(value=float(value), interior=interior)
 

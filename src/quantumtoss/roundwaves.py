@@ -284,9 +284,10 @@ def compare_quantum_classical(n: int) -> ComparisonReport:
     mixture's outermost centers at +-n, not just the quantum turning point,
     or the classical second moment loses its tails.
     """
-    _check_round(n, COMPARE_N_MAX)
-    if n < 1:
-        raise InputError("the comparison needs n >= 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InputError("n must be an integer")
+    if not 1 <= n <= COMPARE_N_MAX:
+        raise InputError(f"n must lie in 1..{COMPARE_N_MAX}")
     peaks = density_peaks(n)
     half = max(math.sqrt(2.0 * n + 1.0), float(n)) + 6.0
     samples = int(round(2.0 * half / _QUAD_STEP)) + 1

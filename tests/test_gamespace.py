@@ -259,9 +259,8 @@ def test_kappa_overflow_is_input_error_naming_both_kappas():
     assert np.all(np.isfinite(audit.payoff_commutator))
 
 
-def test_payoff_variance_ignores_the_other_kappa():
-    gs = GameSpace(5, kappa1=1e150, kappa2=1e170)
+def test_payoff_variance_kappa_range():
+    gs = GameSpace(5, kappa1=1e150, kappa2=1e170)  # kappa2 alone would overflow PC
     assert payoff_variance(gs, 3, 1).value == pytest.approx(3.5e300, rel=1e-12)
-    assert payoff_variance(GameSpace(5, kappa1=1e150), 3, 1).value == (
-        payoff_variance(gs, 3, 1).value
-    )
+    with pytest.raises(InputError, match=r"kappa2 = 1\.000e\+170"):
+        payoff_variance(gs, 3, 2)
