@@ -166,12 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, config, header, rows, audit=None, figure=None):
+def _emit(args, config, header, table, audit=None, figure=None):
     fmt = getattr(args, "format", "csv")
     if fmt == "json":
-        text = reports.write_json(config, rows, audit)
+        text = reports.write_json(config, table, audit)
     else:
-        text = reports.write_csv(header, rows)
+        text = reports.write_csv(header, table)
     out = getattr(args, "out", None)
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -199,8 +199,9 @@ def _cmd_operators(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
     ops = build_operators(gs)
     audit = audit_commutators(gs)
+    metrics = reports.audit_rows(audit)
     audit_obj = {
-        "metrics": {row["metric"]: row["value"] for row in reports.audit_rows(audit)},
+        "metrics": dict(zip(metrics["metric"], metrics["value"])),
         **reports.audit_detail(audit),
     }
     _emit(args, _game_config(args, "operators"), reports.OPERATOR_HEADER,
@@ -234,11 +235,11 @@ def _cmd_sweep(args):
         "kappa2": args.kappa2,
         "format": args.format,
     }
-    rows = []
+    tables = []
     for rounds in range(1, args.rounds_max + 1):
         gs = GameSpace(rounds, args.mode, args.kappa1, args.kappa2)
-        rows.extend(reports.spectrum_rows(correlation_spectrum(gs), rounds=rounds))
-    _emit(args, config, ["rounds"] + reports.SPECTRUM_HEADER, rows)
+        tables.append(reports.spectrum_rows(correlation_spectrum(gs), rounds=rounds))
+    _emit(args, config, ["rounds"] + reports.SPECTRUM_HEADER, reports.concat_tables(tables))
 
 
 def _cmd_variance(args):

@@ -129,8 +129,9 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
     The spectral work is done once at kappa1 = kappa2 = 1: PC is kappa1
     kappa2 PC(1) and pi_j is kappa_j pi_j(1), so the eigenvectors do not
     depend on kappa.  Eigenvalues and correlations are scaled by kappa1
-    kappa2, pay-off means and spreads by kappa_j; Pearson ratios, and the
-    spread below which they are withheld, are taken at kappa = 1.
+    kappa2, pay-off means and spreads by kappa_j; Pearson ratios, the
+    spread below which they are withheld, and the sign classes (whose zero
+    band is absolute) are taken at kappa = 1.
 
     Finite mode diagonalizes the parity blocks separately (eigenstates come
     out parity-pure, pay-off expectations vanish); periodic mode
@@ -194,7 +195,7 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
             f"(largest |eigenvalue| at kappa = 1: {float(np.max(np.abs(lam))):.3e})"
         )
     eigenvalues, exp1, exp2, spread1, spread2, correlation = scaled
-    signs = classify_signs(eigenvalues)
+    signs = classify_signs(lam)  # kappa1 kappa2 > 0 keeps every sign
 
     rows = []
     for k in range(dim):

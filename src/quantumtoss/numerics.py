@@ -63,15 +63,17 @@ def adjoint(a) -> np.ndarray:
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
+def _split(x):
+    # Dekker split of every entry: x == hi + lo exactly, halves of 26 bits
+    hi = _SPLIT * x
+    hi = hi - (hi - x)
+    return x, hi, x - hi
+
+
 def _two_product(x, y):
-    # error-free transformation: x * y == p + e exactly in float64
-    p = x * y
-    xh = _SPLIT * x
-    xh = xh - (xh - x)
-    xl = x - xh
-    yh = _SPLIT * y
-    yh = yh - (yh - y)
-    yl = y - yh
+    # error-free transformation of split operands: x * y == p + e exactly
+    (xv, xh, xl), (yv, yh, yl) = x, y
+    p = xv * yv
     e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
     return p, e
 
@@ -90,21 +92,21 @@ def commutator(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise InputError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     n = a.shape[0]
-    ar, ai = a.real.copy(), a.imag.copy()
-    br, bi = b.real.copy(), b.imag.copy()
+    ar, ai, br, bi = (_split(x.copy()) for x in (a.real, a.imag, b.real, b.imag))
     out = np.empty((n, n), dtype=complex)
     # grouped as pairwise differences so swapping the arguments negates the
     # result bit-for-bit and nearly equal products cancel before summation
     for i in range(n):
-        p1, e1 = _two_product(ar[i, :, None], br)  # +re
-        p2, e2 = _two_product(ai[i, :, None], bi)  # -re
-        p5, e5 = _two_product(br[i, :, None], ar)  # -re
-        p6, e6 = _two_product(bi[i, :, None], ai)  # +re
+        ari, aii, bri, bii = (tuple(x[i, :, None] for x in m) for m in (ar, ai, br, bi))
+        p1, e1 = _two_product(ari, br)  # +re
+        p2, e2 = _two_product(aii, bi)  # -re
+        p5, e5 = _two_product(bri, ar)  # -re
+        p6, e6 = _two_product(bii, ai)  # +re
         re = np.sum((p1 - p5) + (p6 - p2), axis=0) + np.sum((e1 - e5) + (e6 - e2), axis=0)
-        p3, e3 = _two_product(ar[i, :, None], bi)  # +im
-        p4, e4 = _two_product(ai[i, :, None], br)  # +im
-        p7, e7 = _two_product(br[i, :, None], ai)  # -im
-        p8, e8 = _two_product(bi[i, :, None], ar)  # -im
+        p3, e3 = _two_product(ari, bi)  # +im
+        p4, e4 = _two_product(aii, br)  # +im
+        p7, e7 = _two_product(bri, ai)  # -im
+        p8, e8 = _two_product(bii, ar)  # -im
         im = np.sum((p3 - p7) + (p4 - p8), axis=0) + np.sum((e3 - e7) + (e4 - e8), axis=0)
         out[i, :] = re + 1j * im
     return out
@@ -264,19 +266,26 @@ def hermitian_eigen(m, tol: float = EIGEN_TOL) -> SpectralDecomposition:
     for k in range(n):
         vecs[:, k] = _fix_phase(vecs[:, k])
 
-    _check_decomposition(m, eigenvalues, vecs, tol)
+    _check_decomposition(unit, lam[order], vecs, tol, e)
     return SpectralDecomposition(eigenvalues, vecs, sweeps=sweeps)
 
 
-def _check_decomposition(m, eigenvalues, vecs, tol):
-    n = m.shape[0]
+def _check_decomposition(unit, lam, vecs, tol, e):
+    """Validate m = unit * 2^e with eigenvalues lam * 2^e.
+
+    The residual test |m v - lambda v| <= tol (1 + |m|_inf) is evaluated
+    with both sides times 2^-e, an exact scaling, so entries of m far above
+    the square root of the float range do not overflow it.
+    """
+    n = unit.shape[0]
     gram = vecs.conj().T @ vecs
     orth = float(np.max(np.abs(gram - np.eye(n))))
-    resid = float(np.max(np.linalg.norm(m @ vecs - vecs * eigenvalues, axis=0)))
+    resid = float(np.max(np.linalg.norm(unit @ vecs - vecs * lam, axis=0)))
     completeness = vecs @ vecs.conj().T - np.eye(n)
     resolution = float(np.max(np.sum(np.abs(completeness), axis=1)))
-    bound = tol * (1.0 + norm_inf(m))
+    bound = tol * (np.ldexp(1.0, -e) + norm_inf(unit))
     if orth > tol or resid > bound or resolution > tol:
+        resid, bound = float(np.ldexp(resid, e)), float(np.ldexp(bound, e))
         raise ConvergenceError(
             "spectral decomposition failed validation: "
             f"orthonormality {orth:.3e}, residual {resid:.3e} (bound {bound:.3e}), "

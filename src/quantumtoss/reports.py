@@ -1,15 +1,17 @@
 """Row assembly and CSV/JSON serialization for the command-line surface.
 
-Every subcommand's output is a header plus homogeneous rows of plain Python
-values (float/int/bool/str/None or lists of floats).  CSV renders floats
+Every subcommand's output is a header plus a table of equal-length
+columns, keyed by header name: a float64 numpy array, formatted a whole
+column at a time, or a list of plain Python values (float/int/bool/str/
+None or lists of floats), formatted field by field.  CSV renders floats
 with 17 significant digits ('.' decimal separator, '\\n' line endings,
 RFC-4180-style quoting); JSON keeps native doubles so a re-parse reproduces
-the report exactly.  Row keys equal the CSV header names.
+the report exactly, in the layout of ``json.dumps(payload, indent=2)``.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -39,34 +41,106 @@ def _escape(field: str) -> str:
     return field
 
 
-def write_csv(header: list[str], rows: list[dict]) -> str:
+def _columns(header: list[str], table: dict) -> list:
+    """The table's columns in header order; raises ValueError on ragged lengths."""
+    cols = [table[h] for h in header]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError(f"columns {header} differ in length: {[len(c) for c in cols]}")
+    return cols
+
+
+def write_csv(header: list[str], table: dict) -> str:
+    """CSV document, one %-template per row.
+
+    A float column is formatted by the template itself ("%.17g", the bytes
+    of format_field) and never needs quoting; other fields are formatted and
+    escaped one by one.
+    """
+    fields, formats = [], []
+    for col in _columns(header, table):
+        if isinstance(col, np.ndarray):
+            fields.append(col.tolist())
+            formats.append("%.17g")
+        else:
+            fields.append([_escape(format_field(v)) for v in col])
+            formats.append("%s")
     lines = [",".join(_escape(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(_escape(format_field(row[h])) for h in header))
+    lines.extend(map(",".join(formats).__mod__, zip(*fields)))
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values) -> list[str]:
+    """JSON spelling of each float, as json.dumps writes it."""
+    reprs = list(map(float.__repr__, values))
+    return list(map(_JSON_NONFINITE.get, reprs, reprs))
+
+
+def _json_items(values: list, level: int) -> list[str]:
+    """JSON spelling of each value; a list of one plain type in one pass."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return _json_floats(values)
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(_json_str, values))
+    return [_json(v, level) for v in values]
+
+
+def _json(value, level: int) -> str:
+    """``value`` in the json.dumps(indent=2) layout, nested ``level`` deep."""
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _json_floats([float(value)])[0]
+    if isinstance(value, str):
+        return _json_str(value)
+    inner = "\n" + "  " * (level + 1)
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
+        items = [f"{_json_str(k)}: {_json(v, level + 1)}" for k, v in value.items()]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        items = _json_items(list(value), level + 1)
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * level + closing
 
 
-def write_json(config: dict, rows: list[dict], audit: dict | None = None) -> str:
-    payload = {"config": _jsonable(config), "rows": _jsonable(rows)}
+def _json_rows(table: dict) -> str:
+    """The table as the JSON list of row objects, one %-template per row."""
+    header = list(table)
+    cells = [
+        _json_items(col.tolist() if isinstance(col, np.ndarray) else col, 3)
+        for col in _columns(header, table)
+    ]
+    # the rows list sits at level 1 of the document: row objects at 4
+    # spaces, their keys at 6
+    keys = (_json_str(h).replace("%", "%%") for h in header)
+    template = "    {" + ",".join(f"\n      {k}: %s" for k in keys) + "\n    }"
+    rows = list(map(template.__mod__, zip(*cells)))
+    if not rows:
+        return "[]"
+    return "[\n" + ",\n".join(rows) + "\n  ]"
+
+
+def write_json(config: dict, table: dict, audit: dict | None = None) -> str:
+    """JSON document {config, rows[, audit]}, byte for byte as json.dumps(indent=2)."""
+    parts = [f'  "config": {_json(config, 1)}', f'  "rows": {_json_rows(table)}']
     if audit is not None:
-        payload["audit"] = _jsonable(audit)
-    return json.dumps(payload, indent=2) + "\n"
+        parts.append(f'  "audit": {_json(audit, 1)}')
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def matrix_json(m: np.ndarray) -> dict:
@@ -79,48 +153,47 @@ OPERATOR_HEADER = ["matrix", "row", "col", "re", "im"]
 OPERATOR_ORDER = ("a_plus", "a_minus", "number", "pi1", "pi2", "precorrelation")
 
 
-def operator_rows(ops: OperatorSet) -> list[dict]:
-    rows = []
-    for name in OPERATOR_ORDER:
-        m = getattr(ops, name)
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                rows.append(
-                    {
-                        "matrix": name,
-                        "row": i,
-                        "col": j,
-                        "re": float(m[i, j].real),
-                        "im": float(m[i, j].imag),
-                    }
-                )
-    return rows
+def concat_tables(tables: list[dict]) -> dict:
+    """One table holding the rows of ``tables`` (same columns) in order."""
+    return {
+        h: np.concatenate([t[h] for t in tables]) if isinstance(col, np.ndarray)
+        else [v for t in tables for v in t[h]]
+        for h, col in tables[0].items()
+    }
+
+
+def operator_rows(ops: OperatorSet) -> dict:
+    mats = [np.asarray(getattr(ops, name), dtype=complex) for name in OPERATOR_ORDER]
+    d = mats[0].shape[0]
+    index = np.arange(d)
+    return {
+        "matrix": [name for name in OPERATOR_ORDER for _ in range(d * d)],
+        "row": np.repeat(index, d).tolist() * len(mats),
+        "col": np.tile(index, d).tolist() * len(mats),
+        "re": np.concatenate([m.real.ravel() for m in mats]),
+        "im": np.concatenate([m.imag.ravel() for m in mats]),
+    }
 
 
 AUDIT_HEADER = ["metric", "value"]
 
 
-def audit_rows(audit: CommutatorAudit) -> list[dict]:
-    rows = [
-        {"metric": "ladder_trace_re", "value": float(audit.ladder_trace.real)},
-        {"metric": "ladder_trace_im", "value": float(audit.ladder_trace.imag)},
-    ]
+def audit_rows(audit: CommutatorAudit) -> dict:
+    metrics = {
+        "ladder_trace_re": float(audit.ladder_trace.real),
+        "ladder_trace_im": float(audit.ladder_trace.imag),
+    }
     for name in sorted(audit.pattern_max_deviation):
-        rows.append(
-            {
-                "metric": f"ladder_pattern_{name}_max_deviation",
-                "value": audit.pattern_max_deviation[name],
-            }
-        )
-    rows.extend(
-        [
-            {"metric": "payoff_interior_max_deviation", "value": audit.interior_max_deviation},
-            {"metric": "payoff_sign", "value": audit.payoff_sign},
-            {"metric": "zero_sector_re", "value": float(audit.zero_sector_value.real)},
-            {"metric": "zero_sector_im", "value": float(audit.zero_sector_value.imag)},
-        ]
+        metrics[f"ladder_pattern_{name}_max_deviation"] = audit.pattern_max_deviation[name]
+    metrics.update(
+        {
+            "payoff_interior_max_deviation": audit.interior_max_deviation,
+            "payoff_sign": audit.payoff_sign,
+            "zero_sector_re": float(audit.zero_sector_value.real),
+            "zero_sector_im": float(audit.zero_sector_value.imag),
+        }
     )
-    return rows
+    return {"metric": list(metrics), "value": list(metrics.values())}
 
 
 def audit_detail(audit: CommutatorAudit) -> dict:
@@ -147,71 +220,59 @@ SPECTRUM_HEADER = [
 ]
 
 
-def spectrum_rows(report: CorrelationReport, rounds: int | None = None) -> list[dict]:
-    rows = []
-    for r in report.rows:
-        row = {
-            "index": r.index,
-            "eigenvalue": r.eigenvalue,
-            "parity": r.parity,
-            "exp_pi1": r.exp_pi1,
-            "exp_pi2": r.exp_pi2,
-            "sigma1": r.sigma1,
-            "sigma2": r.sigma2,
-            "correlation": r.correlation,
-            "pearson": r.pearson,
-            "sign_class": r.sign_class,
-        }
-        if rounds is not None:
-            row = {"rounds": rounds, **row}
-        rows.append(row)
-    return rows
+_SPECTRUM_PLAIN = ("index", "parity", "pearson", "sign_class")  # not float columns
+
+
+def spectrum_rows(report: CorrelationReport, rounds: int | None = None) -> dict:
+    rows = report.rows
+    table = {} if rounds is None else {"rounds": [rounds] * len(rows)}
+    for name in SPECTRUM_HEADER:
+        values = [getattr(r, name) for r in rows]
+        table[name] = values if name in _SPECTRUM_PLAIN else np.array(values, dtype=float)
+    return table
 
 
 VARIANCE_HEADER = ["rounds", "n", "player", "kappa", "value", "interior"]
 
 
-def variance_rows(rounds: int, n: int, player: int, kappa: float, pv: PayoffVariance) -> list[dict]:
-    return [
-        {
-            "rounds": rounds,
-            "n": n,
-            "player": player,
-            "kappa": kappa,
-            "value": pv.value,
-            "interior": pv.interior,
-        }
-    ]
+def variance_rows(rounds: int, n: int, player: int, kappa: float, pv: PayoffVariance) -> dict:
+    return {
+        "rounds": [rounds],
+        "n": [n],
+        "player": [player],
+        "kappa": [kappa],
+        "value": [pv.value],
+        "interior": [pv.interior],
+    }
 
 
 DENSITY_HEADER = ["xi", "psi", "density"]
 
 
-def density_rows(grid: DensityGrid) -> list[dict]:
-    return [
-        {"xi": float(x), "psi": float(p), "density": float(d)}
-        for x, p, d in zip(grid.xi, grid.psi, grid.density)
-    ]
+def density_rows(grid: DensityGrid) -> dict:
+    return {
+        "xi": np.asarray(grid.xi, dtype=float),
+        "psi": np.asarray(grid.psi, dtype=float),
+        "density": np.asarray(grid.density, dtype=float),
+    }
 
 
 PEAKS_HEADER = ["n", "maxima", "classical_centers"]
 
 
-def peaks_rows(ps: PeakSet) -> list[dict]:
-    return [
-        {
-            "n": ps.n,
-            "maxima": [float(x) for x in ps.maxima],
-            "classical_centers": [float(x) for x in ps.classical_centers],
-        }
-    ]
+def peaks_rows(ps: PeakSet) -> dict:
+    return {
+        "n": [ps.n],
+        "maxima": [[float(x) for x in ps.maxima]],
+        "classical_centers": [[float(x) for x in ps.classical_centers]],
+    }
 
 
 CLASSICAL_HEADER = ["xi", "density"]
 
 
-def classical_rows(xi: np.ndarray, density: np.ndarray) -> list[dict]:
-    return [{"xi": float(x), "density": float(d)} for x, d in zip(xi, density)]
+def classical_rows(xi: np.ndarray, density: np.ndarray) -> dict:
+    return {"xi": np.asarray(xi, dtype=float), "density": np.asarray(density, dtype=float)}
 
 
 COMPARE_HEADER = [
@@ -228,31 +289,34 @@ COMPARE_HEADER = [
 ]
 
 
-def compare_rows(rep: ComparisonReport) -> list[dict]:
-    return [
-        {
-            "n": rep.n,
-            "quantum_peaks": [float(x) for x in rep.quantum_peaks],
-            "classical_centers": [float(x) for x in rep.classical_centers],
-            "quantum_center_density": rep.quantum_center_density,
-            "classical_center_density": rep.classical_center_density,
-            "quantum_minimum_deeper": rep.quantum_minimum_deeper,
-            "quantum_variance": rep.quantum_variance,
-            "classical_variance": rep.classical_variance,
-            "outermost_quantum_peak": rep.outermost_quantum_peak,
-            "outermost_classical_center": rep.outermost_classical_center,
-        }
-    ]
+def compare_rows(rep: ComparisonReport) -> dict:
+    return {
+        "n": [rep.n],
+        "quantum_peaks": [[float(x) for x in rep.quantum_peaks]],
+        "classical_centers": [[float(x) for x in rep.classical_centers]],
+        "quantum_center_density": [rep.quantum_center_density],
+        "classical_center_density": [rep.classical_center_density],
+        "quantum_minimum_deeper": [rep.quantum_minimum_deeper],
+        "quantum_variance": [rep.quantum_variance],
+        "classical_variance": [rep.classical_variance],
+        "outermost_quantum_peak": [rep.outermost_quantum_peak],
+        "outermost_classical_center": [rep.outermost_classical_center],
+    }
 
 
 CORR_EIGEN_HEADER = ["xi", "re", "im", "abs"]
 
 
-def correigen_rows(xi: np.ndarray, values: np.ndarray) -> list[dict]:
-    return [
-        {"xi": float(x), "re": float(v.real), "im": float(v.imag), "abs": float(abs(v))}
-        for x, v in zip(xi, values)
-    ]
+def correigen_rows(xi: np.ndarray, values: np.ndarray) -> dict:
+    values = np.asarray(values, dtype=complex)
+    return {
+        "xi": np.asarray(xi, dtype=float),
+        "re": values.real,
+        "im": values.imag,
+        # np.abs on complex differs from Python's abs in the last bit on many
+        # samples; hypot of the parts matches it exactly
+        "abs": np.hypot(values.real, values.imag),
+    }
 
 
 DIVERGE_HEADER = [
@@ -265,14 +329,12 @@ DIVERGE_HEADER = [
 ]
 
 
-def diverge_rows(rep: DivergenceReport) -> list[dict]:
-    return [
-        {
-            "kind": rep.kind,
-            "classification": rep.classification,
-            "linear_residual": rep.linear_residual,
-            "log_residual": rep.log_residual,
-            "cutoffs": [float(x) for x in rep.cutoffs],
-            "integrals": [float(x) for x in rep.integrals],
-        }
-    ]
+def diverge_rows(rep: DivergenceReport) -> dict:
+    return {
+        "kind": [rep.kind],
+        "classification": [rep.classification],
+        "linear_residual": [rep.linear_residual],
+        "log_residual": [rep.log_residual],
+        "cutoffs": [[float(x) for x in rep.cutoffs]],
+        "integrals": [[float(x) for x in rep.integrals]],
+    }

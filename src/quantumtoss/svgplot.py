@@ -106,10 +106,11 @@ def render_svg(series, x_label: str = "", y_label: str = "", markers=()) -> str:
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    # scalars or whole arrays: the same operations in the same order
+    def px(x):
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -163,7 +164,9 @@ def render_svg(series, x_label: str = "", y_label: str = "", markers=()) -> str:
     legend_entries = []
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.x, s.y))
+        xs = px(np.asarray(s.x)).tolist()
+        ys = py(np.asarray(s.y)).tolist()
+        points = " ".join(map("%.3f,%.3f".__mod__, zip(xs, ys)))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

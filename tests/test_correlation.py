@@ -235,6 +235,18 @@ def test_spectrum_huge_kappa_stays_finite():
         assert row.pearson == ref.pearson
 
 
+def test_spectrum_tiny_kappa_keeps_sign_classes():
+    # eigenvalues near 1e-12 lie inside the absolute zero band, but their
+    # signs are those of the kappa = 1 spectrum
+    base = correlation_spectrum(GameSpace(3))
+    report = correlation_spectrum(GameSpace(3, kappa1=1e-6, kappa2=1e-6))
+    assert [row.sign_class for row in report.rows] == [-1, -1, 1, 1]
+    assert sign_classification(base) == (-1, -1, 1, 1)
+    for row, ref in zip(report.rows, base.rows):
+        assert row.sign_class == ref.sign_class
+        assert row.eigenvalue == pytest.approx(1e-12 * ref.eigenvalue, rel=1e-12)
+
+
 def test_spectrum_rejects_kappa_overflow():
     with pytest.raises(InputError, match="overflow"):
         correlation_spectrum(GameSpace(3, kappa1=1e200, kappa2=1e200))

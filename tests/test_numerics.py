@@ -263,10 +263,10 @@ def test_round_robin_sweep_meets_every_pair_once():
             assert len(set(ps.tolist()) | set(qs.tolist())) == 2 * len(ps)
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e-170])
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170])
 def test_hermitian_eigen_extreme_scales_match_eigvalsh(scale):
     # squares of entries near 1e160 overflow and near 1e-170 underflow;
-    # the solver sweeps on an exactly rescaled copy
+    # the solver sweeps and validates on an exactly rescaled copy
     from quantumtoss.gamespace import build_precorrelation
 
     for m in (scale * build_precorrelation(GameSpace(3)), scale * random_hermitian(11, 7)):

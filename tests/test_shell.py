@@ -8,6 +8,7 @@ import pytest
 
 from quantumtoss.cli import run_cli
 from quantumtoss.errors import InputError
+from quantumtoss.gamespace import GameSpace
 from quantumtoss.reports import format_field, write_csv, write_json
 from quantumtoss.svgplot import MarkerGroup, Series, render_svg
 
@@ -25,11 +26,11 @@ def parse_csv(text):
 
 
 def test_write_csv_header_only_for_empty_rows():
-    assert write_csv(["a", "b"], []) == "a,b\n"
+    assert write_csv(["a", "b"], {"a": [], "b": np.array([])}) == "a,b\n"
 
 
 def test_write_csv_quotes_list_fields():
-    text = write_csv(["n", "maxima"], [{"n": 1, "maxima": [-1.0, 1.0]}])
+    text = write_csv(["n", "maxima"], {"n": [1], "maxima": [[-1.0, 1.0]]})
     assert text == 'n,maxima\n1,"-1,1"\n'
 
 
@@ -43,11 +44,213 @@ def test_format_field_rules():
 
 def test_write_json_round_trip():
     config = {"subcommand": "spectrum", "rounds": 2}
-    rows = [{"eigenvalue": -math.sqrt(0.5), "pearson": None, "sign_class": -1}]
+    rows = {"eigenvalue": np.array([-math.sqrt(0.5)]), "pearson": [None], "sign_class": [-1]}
     parsed = json.loads(write_json(config, rows))
     assert list(parsed.keys()) == ["config", "rows"]
     assert parsed["rows"][0]["eigenvalue"] == -math.sqrt(0.5)  # exact double
     assert parsed["rows"][0]["pearson"] is None
+
+
+# Edge values shared by the writer byte-identity tests below.
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 1 / 3, -2.5, 1e-7]
+EDGE_PLAIN = [
+    None, True, False, np.bool_(True), np.int64(-7), np.float64(0.1), 3, 2.0,
+    'say "hi", then\nleave', "caf\u00e9\t\\", [], [1.0, math.nan, -0.0], [np.float64(2.5), 4],
+]
+
+
+def _plain(value):
+    """Reference conversion of numpy scalars and arrays for json.dumps."""
+    if isinstance(value, np.ndarray):
+        return [_plain(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+def _json_reference(config, table, audit=None):
+    n = len(next(iter(table.values()))) if table else 0
+    rows = [{h: col[i] for h, col in table.items()} for i in range(n)]
+    payload = {"config": config, "rows": rows}
+    if audit is not None:
+        payload["audit"] = audit
+    return json.dumps(_plain(payload), indent=2) + "\n"
+
+
+def _csv_reference(header, table):
+    """Row-by-row CSV: format_field per field, RFC-4180 quoting."""
+
+    def quote(field):
+        if "," in field or '"' in field or "\n" in field:
+            return '"' + field.replace('"', '""') + '"'
+        return field
+
+    n = len(table[header[0]])
+    lines = [",".join(quote(h) for h in header)]
+    for i in range(n):
+        lines.append(",".join(quote(format_field(table[h][i])) for h in header))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_json_matches_json_dumps():
+    n = len(EDGE_PLAIN)
+    floats = np.array((EDGE_FLOATS * 2)[:n])
+    table = {"x": floats, "mixed": EDGE_PLAIN, "tab\t%s": list(range(n)), "s": ["a\"b"] * n}
+    config = {
+        "subcommand": "edge", "empty_list": [], "empty_dict": {}, "none": None,
+        "nested": {"deep": [[1.0, -math.inf], [], [{"k": np.int64(2)}]], "b": np.bool_(False)},
+        "floats": np.array(EDGE_FLOATS), "esc\"key\u00e9": "\u2603\x00",
+    }
+    audit = {"metrics": {"m": np.float64(math.nan)}, "matrix": np.eye(2).tolist(), "e": {}}
+    assert write_json(config, table, audit) == _json_reference(config, table, audit)
+    assert write_json(config, table) == _json_reference(config, table)
+    empty = {"x": np.array([]), "y": []}
+    assert write_json({}, empty) == _json_reference({}, empty)
+    with pytest.raises(TypeError):
+        write_json({"bad": {1, 2}}, empty)
+
+
+def test_write_csv_matches_row_reference():
+    n = len(EDGE_PLAIN)
+    table = {
+        "x": np.array((EDGE_FLOATS * 2)[:n]),
+        "mixed": EDGE_PLAIN,
+        "text": ["plain", "a,b", 'q"q', "line\nbreak", ""] * 2 + ["x", "y", "z"],
+        "y": -np.array((EDGE_FLOATS * 2)[:n]),
+    }
+    header = ["x", "mixed", "text", "y"]
+    assert write_csv(header, table) == _csv_reference(header, table)
+    assert write_csv(['h,"1"', "x"], {'h,"1"': [1, 2], "x": np.array([0.5, -0.0])}) == (
+        _csv_reference(['h,"1"', "x"], {'h,"1"': [1, 2], "x": np.array([0.5, -0.0])})
+    )
+    with pytest.raises(ValueError, match="length"):
+        write_csv(["a", "b"], {"a": [1], "b": np.array([1.0, 2.0])})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--n", "5", "--samples", "2001"),
+        ("classical", "--n", "3", "--samples", "2001"),
+        ("corr-eigen", "--lambda", "0.238", "--samples", "2001"),
+        ("corr-eigen", "--lambda", "-1.7", "--ordering", "printed", "--samples", "2001"),
+    ],
+)
+def test_bulk_csv_matches_row_reference(capsys, argv):
+    from quantumtoss.roundwaves import (
+        classical_mixture_density, correlation_eigenfunction, density_grid,
+    )
+
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if argv[0] == "density":
+        grid = density_grid(5, -8.0, 8.0, 2001)
+        header = ["xi", "psi", "density"]
+        columns = [grid.xi, grid.psi, grid.density]
+    elif argv[0] == "classical":
+        xi = np.linspace(-8.0, 8.0, 2001)
+        header = ["xi", "density"]
+        columns = [xi, classical_mixture_density(3, xi)]
+    else:
+        xi = np.linspace(0.01, 8.0, 2001)
+        ordering = argv[-3] if argv[-4] == "--ordering" else "weyl"
+        values = correlation_eigenfunction(float(argv[2]), ordering, xi)
+        header = ["xi", "re", "im", "abs"]
+        # Python's abs of each complex sample, the scalar rule of the output
+        columns = [xi, [v.real for v in values], [v.imag for v in values],
+                   [abs(complex(v)) for v in values]]
+    table = {h: [float(x) for x in col] for h, col in zip(header, columns)}
+    assert out == _csv_reference(header, table)
+
+
+def test_operators_json_matches_json_dumps(capsys):
+    from quantumtoss.gamespace import audit_commutators, build_operators
+
+    code, out, err = run(
+        capsys, "operators", "--rounds", "5", "--mode", "periodic", "--kappa1", "0.3",
+        "--format", "json",
+    )
+    assert code == 0, err
+    gs = GameSpace(5, "periodic", 0.3, 1.0)
+    ops, audit = build_operators(gs), audit_commutators(gs)
+    rows = []
+    for name in ("a_plus", "a_minus", "number", "pi1", "pi2", "precorrelation"):
+        m = getattr(ops, name)
+        for i in range(m.shape[0]):
+            for j in range(m.shape[1]):
+                rows.append({"matrix": name, "row": i, "col": j,
+                             "re": float(m[i, j].real), "im": float(m[i, j].imag)})
+    metrics = {"ladder_trace_re": audit.ladder_trace.real,
+               "ladder_trace_im": audit.ladder_trace.imag}
+    for name in sorted(audit.pattern_max_deviation):
+        metrics[f"ladder_pattern_{name}_max_deviation"] = audit.pattern_max_deviation[name]
+    metrics.update({
+        "payoff_interior_max_deviation": audit.interior_max_deviation,
+        "payoff_sign": audit.payoff_sign,
+        "zero_sector_re": audit.zero_sector_value.real,
+        "zero_sector_im": audit.zero_sector_value.imag,
+    })
+    detail = {
+        "metrics": metrics,
+        "ladder_commutator": {"re": audit.ladder_commutator.real,
+                              "im": audit.ladder_commutator.imag},
+        "payoff_commutator": {"re": audit.payoff_commutator.real,
+                              "im": audit.payoff_commutator.imag},
+        "pattern_entry_deviation": dict(sorted(audit.pattern_entry_deviation.items())),
+    }
+    config = {"subcommand": "operators", "rounds": 5, "mode": "periodic",
+              "kappa1": 0.3, "kappa2": 1.0, "format": "json"}
+    payload = {"config": config, "rows": rows, "audit": detail}
+    assert out == json.dumps(_plain(payload), indent=2) + "\n"
+
+
+def _polyline_reference(series, markers):
+    """Each polyline's points, mapped and formatted one point at a time."""
+    from quantumtoss import svgplot
+
+    x_lo = min(min(float(x) for x in s.x) for s in series)
+    x_hi = max(max(float(x) for x in s.x) for s in series)
+    y_lo = min(min(float(y) for y in s.y) for s in series)
+    y_hi = max(max(float(y) for y in s.y) for s in series)
+    for m in markers:
+        x_lo, x_hi = min([x_lo, *m.xs]), max([x_hi, *m.xs])
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    plot_w = svgplot.WIDTH - svgplot.MARGIN_LEFT - svgplot.MARGIN_RIGHT
+    plot_h = svgplot.HEIGHT - svgplot.MARGIN_TOP - svgplot.MARGIN_BOTTOM
+    out = []
+    for s in series:
+        points = []
+        for x, y in zip(s.x, s.y):
+            px = svgplot.MARGIN_LEFT + (float(x) - x_lo) / (x_hi - x_lo) * plot_w
+            py = svgplot.MARGIN_TOP + (y_hi - float(y)) / (y_hi - y_lo) * plot_h
+            points.append(f"{format(px, '.3f')},{format(py, '.3f')}")
+        out.append(" ".join(points))
+    return out
+
+
+def test_render_svg_polyline_matches_scalar_reference():
+    xs = np.linspace(-7.3, 9.1, 2001)
+    wave = Series("wave", xs, np.sin(3.0 * xs) * np.exp(-0.1 * xs * xs))
+    flat = Series("flat", xs, np.full(xs.size, 0.125))
+    markers = [MarkerGroup("refs", (-9.5, 0.0, 2.25))]
+    for series, marks in (([wave, flat], markers), ([flat], []), ([wave], markers)):
+        doc = render_svg(series, x_label="x", y_label="y", markers=marks)
+        polylines = [line.split('"')[1] for line in doc.splitlines()
+                     if line.startswith("<polyline")]
+        assert polylines == _polyline_reference(series, marks)
 
 
 def test_spectrum_csv_values(capsys):
@@ -273,6 +476,14 @@ def test_spectrum_huge_kappa_exits_zero_with_finite_values(capsys):
         col = header.index(name)
         assert all(math.isfinite(float(r[col])) for r in rows), name
     assert sorted(r[9] for r in rows) == ["-1", "-1", "1", "1"]
+
+
+def test_spectrum_tiny_kappa_keeps_sign_classes(capsys):
+    code, out, err = run(capsys, "spectrum", "--rounds", "3", "--kappa1", "1e-6", "--kappa2", "1e-6")
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert [r[9] for r in rows] == ["-1", "-1", "1", "1"]
+    assert all(0 < abs(float(r[1])) < 1e-11 for r in rows)
 
 
 def test_spectrum_kappa_product_overflow_exit_2(capsys):
