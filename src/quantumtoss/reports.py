@@ -153,6 +153,11 @@ OPERATOR_HEADER = ["matrix", "row", "col", "re", "im"]
 OPERATOR_ORDER = ("a_plus", "a_minus", "number", "pi1", "pi2", "precorrelation")
 
 
+def _one_row(row: dict) -> dict:
+    """The table of a single row."""
+    return {name: [value] for name, value in row.items()}
+
+
 def concat_tables(tables: list[dict]) -> dict:
     """One table holding the rows of ``tables`` (same columns) in order."""
     return {
@@ -236,14 +241,16 @@ VARIANCE_HEADER = ["rounds", "n", "player", "kappa", "value", "interior"]
 
 
 def variance_rows(rounds: int, n: int, player: int, kappa: float, pv: PayoffVariance) -> dict:
-    return {
-        "rounds": [rounds],
-        "n": [n],
-        "player": [player],
-        "kappa": [kappa],
-        "value": [pv.value],
-        "interior": [pv.interior],
-    }
+    return _one_row(
+        {
+            "rounds": rounds,
+            "n": n,
+            "player": player,
+            "kappa": kappa,
+            "value": pv.value,
+            "interior": pv.interior,
+        }
+    )
 
 
 DENSITY_HEADER = ["xi", "psi", "density"]
@@ -261,11 +268,13 @@ PEAKS_HEADER = ["n", "maxima", "classical_centers"]
 
 
 def peaks_rows(ps: PeakSet) -> dict:
-    return {
-        "n": [ps.n],
-        "maxima": [[float(x) for x in ps.maxima]],
-        "classical_centers": [[float(x) for x in ps.classical_centers]],
-    }
+    return _one_row(
+        {
+            "n": ps.n,
+            "maxima": [float(x) for x in ps.maxima],
+            "classical_centers": [float(x) for x in ps.classical_centers],
+        }
+    )
 
 
 CLASSICAL_HEADER = ["xi", "density"]
@@ -290,18 +299,20 @@ COMPARE_HEADER = [
 
 
 def compare_rows(rep: ComparisonReport) -> dict:
-    return {
-        "n": [rep.n],
-        "quantum_peaks": [[float(x) for x in rep.quantum_peaks]],
-        "classical_centers": [[float(x) for x in rep.classical_centers]],
-        "quantum_center_density": [rep.quantum_center_density],
-        "classical_center_density": [rep.classical_center_density],
-        "quantum_minimum_deeper": [rep.quantum_minimum_deeper],
-        "quantum_variance": [rep.quantum_variance],
-        "classical_variance": [rep.classical_variance],
-        "outermost_quantum_peak": [rep.outermost_quantum_peak],
-        "outermost_classical_center": [rep.outermost_classical_center],
-    }
+    return _one_row(
+        {
+            "n": rep.n,
+            "quantum_peaks": [float(x) for x in rep.quantum_peaks],
+            "classical_centers": [float(x) for x in rep.classical_centers],
+            "quantum_center_density": rep.quantum_center_density,
+            "classical_center_density": rep.classical_center_density,
+            "quantum_minimum_deeper": rep.quantum_minimum_deeper,
+            "quantum_variance": rep.quantum_variance,
+            "classical_variance": rep.classical_variance,
+            "outermost_quantum_peak": rep.outermost_quantum_peak,
+            "outermost_classical_center": rep.outermost_classical_center,
+        }
+    )
 
 
 CORR_EIGEN_HEADER = ["xi", "re", "im", "abs"]
@@ -330,11 +341,13 @@ DIVERGE_HEADER = [
 
 
 def diverge_rows(rep: DivergenceReport) -> dict:
-    return {
-        "kind": [rep.kind],
-        "classification": [rep.classification],
-        "linear_residual": [rep.linear_residual],
-        "log_residual": [rep.log_residual],
-        "cutoffs": [[float(x) for x in rep.cutoffs]],
-        "integrals": [[float(x) for x in rep.integrals]],
-    }
+    return _one_row(
+        {
+            "kind": rep.kind,
+            "classification": rep.classification,
+            "linear_residual": rep.linear_residual,
+            "log_residual": rep.log_residual,
+            "cutoffs": [float(x) for x in rep.cutoffs],
+            "integrals": [float(x) for x in rep.integrals],
+        }
+    )
