@@ -64,7 +64,7 @@ _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
 def _split(x):
-    # Dekker split of every entry: x == hi + lo exactly, halves of 26 bits
+    # (x, hi, lo) with x == hi + lo exactly in every entry (Dekker, 26-bit halves)
     hi = _SPLIT * x
     hi = hi - (hi - x)
     return x, hi, x - hi

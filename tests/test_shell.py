@@ -161,7 +161,7 @@ def test_bulk_csv_matches_row_reference(capsys, argv):
         columns = [xi, classical_mixture_density(3, xi)]
     else:
         xi = np.linspace(0.01, 8.0, 2001)
-        ordering = argv[-3] if argv[-4] == "--ordering" else "weyl"
+        ordering = "printed" if "printed" in argv else "weyl"
         values = correlation_eigenfunction(float(argv[2]), ordering, xi)
         header = ["xi", "re", "im", "abs"]
         # Python's abs of each complex sample, the scalar rule of the output
