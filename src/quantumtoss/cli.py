@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Every analysis is a subcommand that prints CSV (or, where supported, JSON)
-to stdout or writes it to --out; density-style subcommands can additionally
-emit an SVG figure.  Exit codes: 0 success, 2 usage/invalid input, 1
+Every analysis is a subcommand that prints a CSV table to stdout.  Only
+operators, audit, spectrum and sweep take --format json and --out PATH;
+density, classical and compare can additionally write an SVG figure to
+--svg PATH.  Exit codes: 0 success, 2 usage/invalid input, 1
 numerical failure or I/O error.
 
     quantumtoss operators  --rounds 2 --mode periodic --format json
@@ -166,21 +167,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, config, header, table, audit=None, figure=None):
-    fmt = getattr(args, "format", "csv")
-    if fmt == "json":
+def _emit(args, table, config=None, audit=None, figure=None):
+    """Print or write the table; ``config`` only for subcommands with --format."""
+    if getattr(args, "format", "csv") == "json":
         text = reports.write_json(config, table, audit)
     else:
-        text = reports.write_csv(header, table)
+        text = reports.write_csv(table)
     out = getattr(args, "out", None)
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    svg_path = getattr(args, "svg", None)
-    if svg_path is not None and figure is not None:
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
+    if figure is not None:  # built only when --svg is given
+        with open(args.svg, "w", encoding="utf-8", newline="") as fh:
             fh.write(figure)
 
 
@@ -204,22 +204,20 @@ def _cmd_operators(args):
         "metrics": dict(zip(metrics["metric"], metrics["value"])),
         **reports.audit_detail(audit),
     }
-    _emit(args, _game_config(args, "operators"), reports.OPERATOR_HEADER,
-          reports.operator_rows(ops), audit=audit_obj)
+    _emit(args, reports.operator_rows(ops), _game_config(args, "operators"), audit=audit_obj)
 
 
 def _cmd_audit(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
     audit = audit_commutators(gs)
-    _emit(args, _game_config(args, "audit"), reports.AUDIT_HEADER,
-          reports.audit_rows(audit), audit=reports.audit_detail(audit))
+    _emit(args, reports.audit_rows(audit), _game_config(args, "audit"),
+          audit=reports.audit_detail(audit))
 
 
 def _cmd_spectrum(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
     report = correlation_spectrum(gs)
-    _emit(args, _game_config(args, "spectrum"), reports.SPECTRUM_HEADER,
-          reports.spectrum_rows(report))
+    _emit(args, reports.spectrum_rows(report), _game_config(args, "spectrum"))
 
 
 def _cmd_sweep(args):
@@ -239,48 +237,29 @@ def _cmd_sweep(args):
     for rounds in range(1, args.rounds_max + 1):
         gs = GameSpace(rounds, args.mode, args.kappa1, args.kappa2)
         tables.append(reports.spectrum_rows(correlation_spectrum(gs), rounds=rounds))
-    _emit(args, config, ["rounds"] + reports.SPECTRUM_HEADER, reports.concat_tables(tables))
+    _emit(args, reports.concat_tables(tables), config)
 
 
 def _cmd_variance(args):
     gs = GameSpace(args.rounds, "finite", args.kappa1, args.kappa2)
     pv = payoff_variance(gs, args.n, args.player)
     kappa = args.kappa1 if args.player == 1 else args.kappa2
-    config = {
-        "subcommand": "variance",
-        "rounds": args.rounds,
-        "mode": "finite",
-        "n": args.n,
-        "player": args.player,
-        "kappa1": args.kappa1,
-        "kappa2": args.kappa2,
-    }
-    _emit(args, config, reports.VARIANCE_HEADER,
-          reports.variance_rows(args.rounds, args.n, args.player, kappa, pv))
+    _emit(args, reports.variance_rows(args.rounds, args.n, args.player, kappa, pv))
 
 
 def _cmd_density(args):
     grid = density_grid(args.n, args.xi_min, args.xi_max, args.samples)
-    config = {
-        "subcommand": "density",
-        "n": args.n,
-        "xi_min": args.xi_min,
-        "xi_max": args.xi_max,
-        "samples": args.samples,
-    }
     figure = None
     if args.svg is not None:
         figure = render_svg(
             [Series(f"round {args.n} density", grid.xi, grid.density)],
             x_label="xi", y_label="density",
         )
-    _emit(args, config, reports.DENSITY_HEADER, reports.density_rows(grid), figure=figure)
+    _emit(args, reports.density_rows(grid), figure=figure)
 
 
 def _cmd_peaks(args):
-    ps = density_peaks(args.n)
-    config = {"subcommand": "peaks", "n": args.n}
-    _emit(args, config, reports.PEAKS_HEADER, reports.peaks_rows(ps))
+    _emit(args, reports.peaks_rows(density_peaks(args.n)))
 
 
 def _cmd_classical(args):
@@ -288,26 +267,17 @@ def _cmd_classical(args):
         raise InputError(f"invalid range [{args.xi_min}, {args.xi_max}]")
     xi = np.linspace(args.xi_min, args.xi_max, args.samples)
     density = classical_mixture_density(args.n, xi)
-    config = {
-        "subcommand": "classical",
-        "n": args.n,
-        "xi_min": args.xi_min,
-        "xi_max": args.xi_max,
-        "samples": args.samples,
-    }
     figure = None
     if args.svg is not None:
         figure = render_svg(
             [Series(f"classical walk n={args.n}", xi, density)],
             x_label="xi", y_label="density",
         )
-    _emit(args, config, reports.CLASSICAL_HEADER,
-          reports.classical_rows(xi, density), figure=figure)
+    _emit(args, reports.classical_rows(xi, density), figure=figure)
 
 
 def _cmd_compare(args):
     rep = compare_quantum_classical(args.n)
-    config = {"subcommand": "compare", "n": args.n}
     figure = None
     if args.svg is not None:
         half = float(args.n) + 4.0
@@ -325,27 +295,17 @@ def _cmd_compare(args):
                 MarkerGroup("classical centers", tuple(float(x) for x in rep.classical_centers)),
             ],
         )
-    _emit(args, config, reports.COMPARE_HEADER, reports.compare_rows(rep), figure=figure)
+    _emit(args, reports.compare_rows(rep), figure=figure)
 
 
 def _cmd_corr_eigen(args):
     xi = np.linspace(args.xi_min, args.xi_max, args.samples)
     values = correlation_eigenfunction(args.lam, args.ordering, xi)
-    config = {
-        "subcommand": "corr-eigen",
-        "lambda": args.lam,
-        "ordering": args.ordering,
-        "xi_min": args.xi_min,
-        "xi_max": args.xi_max,
-        "samples": args.samples,
-    }
-    _emit(args, config, reports.CORR_EIGEN_HEADER, reports.correigen_rows(xi, values))
+    _emit(args, reports.correigen_rows(xi, values))
 
 
 def _cmd_diverge(args):
-    rep = divergence_scan(args.kind, args.cutoffs)
-    config = {"subcommand": "diverge", "kind": args.kind, "cutoffs": list(args.cutoffs)}
-    _emit(args, config, reports.DIVERGE_HEADER, reports.diverge_rows(rep))
+    _emit(args, reports.diverge_rows(divergence_scan(args.kind, args.cutoffs)))
 
 
 _COMMANDS = {

@@ -250,13 +250,15 @@ def hermitian_eigen(m, tol: float = EIGEN_TOL) -> SpectralDecomposition:
         raise InputError(
             f"matrix is not Hermitian: deviation {hermitian_deviation(m):.3e}"
         )
-    m = (m + m.conj().T) / 2.0  # fold the sub-tolerance asymmetry away
 
     peak = float(np.max(np.abs(m)))
     if peak == 0.0:
         return SpectralDecomposition(np.zeros(n), np.eye(n, dtype=complex))
     e = max(int(np.frexp(peak)[1]), -1021)  # 2^e is within a factor 2 of max |m|
     unit = m * np.ldexp(1.0, -e)
+    # fold the sub-tolerance asymmetry away after scaling, where the sum
+    # cannot overflow
+    unit = (unit + unit.conj().T) / 2.0
     scale = float(np.sqrt(np.sum(unit.real**2 + unit.imag**2)))
 
     lam, vecs, sweeps = _jacobi_hermitian(unit, scale)

@@ -1,9 +1,11 @@
 """Row assembly and CSV/JSON serialization for the command-line surface.
 
-Every subcommand's output is a header plus a table of equal-length
-columns, keyed by header name: a float64 numpy array, formatted a whole
+Every subcommand's output is a table of equal-length columns, keyed by
+column name in output order: a float64 numpy array, formatted a whole
 column at a time, or a list of plain Python values (float/int/bool/str/
-None or lists of floats), formatted field by field.  CSV renders floats
+None or lists of floats), formatted field by field.  The table's keys are
+both the CSV header and the JSON row keys, so the ``*_rows`` builders are
+the one place that names and orders a table's columns.  CSV renders floats
 with 17 significant digits ('.' decimal separator, '\\n' line endings,
 RFC-4180-style quoting); JSON keeps native doubles so a re-parse reproduces
 the report exactly, in the layout of ``json.dumps(payload, indent=2)``.
@@ -41,15 +43,15 @@ def _escape(field: str) -> str:
     return field
 
 
-def _columns(header: list[str], table: dict) -> list:
-    """The table's columns in header order; raises ValueError on ragged lengths."""
-    cols = [table[h] for h in header]
+def _columns(table: dict) -> list:
+    """The table's columns in order; raises ValueError on ragged lengths."""
+    cols = list(table.values())
     if len({len(c) for c in cols}) > 1:
-        raise ValueError(f"columns {header} differ in length: {[len(c) for c in cols]}")
+        raise ValueError(f"columns {list(table)} differ in length: {[len(c) for c in cols]}")
     return cols
 
 
-def write_csv(header: list[str], table: dict) -> str:
+def write_csv(table: dict) -> str:
     """CSV document, one %-template per row.
 
     A float column is formatted by the template itself ("%.17g", the bytes
@@ -57,14 +59,14 @@ def write_csv(header: list[str], table: dict) -> str:
     escaped one by one.
     """
     fields, formats = [], []
-    for col in _columns(header, table):
+    for col in _columns(table):
         if isinstance(col, np.ndarray):
             fields.append(col.tolist())
             formats.append("%.17g")
         else:
             fields.append([_escape(format_field(v)) for v in col])
             formats.append("%s")
-    lines = [",".join(_escape(h) for h in header)]
+    lines = [",".join(_escape(h) for h in table)]
     lines.extend(map(",".join(formats).__mod__, zip(*fields)))
     return "\n".join(lines) + "\n"
 
@@ -120,14 +122,13 @@ def _json(value, level: int) -> str:
 
 def _json_rows(table: dict) -> str:
     """The table as the JSON list of row objects, one %-template per row."""
-    header = list(table)
     cells = [
         _json_items(col.tolist() if isinstance(col, np.ndarray) else col, 3)
-        for col in _columns(header, table)
+        for col in _columns(table)
     ]
     # the rows list sits at level 1 of the document: row objects at 4
     # spaces, their keys at 6
-    keys = (_json_str(h).replace("%", "%%") for h in header)
+    keys = (_json_str(h).replace("%", "%%") for h in table)
     template = "    {" + ",".join(f"\n      {k}: %s" for k in keys) + "\n    }"
     rows = list(map(template.__mod__, zip(*cells)))
     if not rows:
@@ -149,7 +150,6 @@ def matrix_json(m: np.ndarray) -> dict:
     return {"re": a.real.tolist(), "im": a.imag.tolist()}
 
 
-OPERATOR_HEADER = ["matrix", "row", "col", "re", "im"]
 OPERATOR_ORDER = ("a_plus", "a_minus", "number", "pi1", "pi2", "precorrelation")
 
 
@@ -180,9 +180,6 @@ def operator_rows(ops: OperatorSet) -> dict:
     }
 
 
-AUDIT_HEADER = ["metric", "value"]
-
-
 def audit_rows(audit: CommutatorAudit) -> dict:
     metrics = {
         "ladder_trace_re": float(audit.ladder_trace.real),
@@ -211,33 +208,20 @@ def audit_detail(audit: CommutatorAudit) -> dict:
     }
 
 
-SPECTRUM_HEADER = [
-    "index",
-    "eigenvalue",
-    "parity",
-    "exp_pi1",
-    "exp_pi2",
-    "sigma1",
-    "sigma2",
-    "correlation",
-    "pearson",
-    "sign_class",
-]
-
-
+_SPECTRUM_COLUMNS = (
+    "index", "eigenvalue", "parity", "exp_pi1", "exp_pi2",
+    "sigma1", "sigma2", "correlation", "pearson", "sign_class",
+)
 _SPECTRUM_PLAIN = ("index", "parity", "pearson", "sign_class")  # not float columns
 
 
 def spectrum_rows(report: CorrelationReport, rounds: int | None = None) -> dict:
     rows = report.rows
     table = {} if rounds is None else {"rounds": [rounds] * len(rows)}
-    for name in SPECTRUM_HEADER:
+    for name in _SPECTRUM_COLUMNS:
         values = [getattr(r, name) for r in rows]
         table[name] = values if name in _SPECTRUM_PLAIN else np.array(values, dtype=float)
     return table
-
-
-VARIANCE_HEADER = ["rounds", "n", "player", "kappa", "value", "interior"]
 
 
 def variance_rows(rounds: int, n: int, player: int, kappa: float, pv: PayoffVariance) -> dict:
@@ -253,18 +237,12 @@ def variance_rows(rounds: int, n: int, player: int, kappa: float, pv: PayoffVari
     )
 
 
-DENSITY_HEADER = ["xi", "psi", "density"]
-
-
 def density_rows(grid: DensityGrid) -> dict:
     return {
         "xi": np.asarray(grid.xi, dtype=float),
         "psi": np.asarray(grid.psi, dtype=float),
         "density": np.asarray(grid.density, dtype=float),
     }
-
-
-PEAKS_HEADER = ["n", "maxima", "classical_centers"]
 
 
 def peaks_rows(ps: PeakSet) -> dict:
@@ -277,25 +255,8 @@ def peaks_rows(ps: PeakSet) -> dict:
     )
 
 
-CLASSICAL_HEADER = ["xi", "density"]
-
-
 def classical_rows(xi: np.ndarray, density: np.ndarray) -> dict:
     return {"xi": np.asarray(xi, dtype=float), "density": np.asarray(density, dtype=float)}
-
-
-COMPARE_HEADER = [
-    "n",
-    "quantum_peaks",
-    "classical_centers",
-    "quantum_center_density",
-    "classical_center_density",
-    "quantum_minimum_deeper",
-    "quantum_variance",
-    "classical_variance",
-    "outermost_quantum_peak",
-    "outermost_classical_center",
-]
 
 
 def compare_rows(rep: ComparisonReport) -> dict:
@@ -315,9 +276,6 @@ def compare_rows(rep: ComparisonReport) -> dict:
     )
 
 
-CORR_EIGEN_HEADER = ["xi", "re", "im", "abs"]
-
-
 def correigen_rows(xi: np.ndarray, values: np.ndarray) -> dict:
     values = np.asarray(values, dtype=complex)
     return {
@@ -328,16 +286,6 @@ def correigen_rows(xi: np.ndarray, values: np.ndarray) -> dict:
         # samples; hypot of the parts matches it exactly
         "abs": np.hypot(values.real, values.imag),
     }
-
-
-DIVERGE_HEADER = [
-    "kind",
-    "classification",
-    "linear_residual",
-    "log_residual",
-    "cutoffs",
-    "integrals",
-]
 
 
 def diverge_rows(rep: DivergenceReport) -> dict:

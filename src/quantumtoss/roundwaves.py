@@ -404,32 +404,39 @@ def divergence_scan(kind: str, cutoffs) -> DivergenceReport:
     if not np.all(np.isfinite(cuts)):
         raise InputError("cutoffs must be finite")
 
-    if kind == "plane":
-        if np.any(cuts <= 1.0) or np.any(np.diff(cuts) <= 0.0):
-            raise InputError("plane-wave cutoffs must be increasing and > 1")
-        integrals = []
-        for big_l in cuts:
-            xi = np.linspace(-big_l, big_l, 4097)
-            wave = np.exp(1j * xi)
-            integrals.append(_trapezoid(np.abs(wave) ** 2, xi[1] - xi[0]))
-        integrals = np.array(integrals)
-        x_lin = cuts
-        x_log = np.log(cuts)
-    else:
-        if np.any(cuts <= 0.0) or np.any(cuts >= 1.0) or np.any(np.diff(cuts) >= 0.0):
-            raise InputError("cutoffs must be a decreasing sequence in (0, 1)")
-        integrals = []
-        for eps in cuts:
-            u = np.linspace(math.log(eps), 0.0, 8193)
-            xi = np.exp(u)
-            wave = correlation_eigenfunction(0.0, kind, xi)
-            integrals.append(_trapezoid(np.abs(wave) ** 2 * xi, u[1] - u[0]))
-        integrals = np.array(integrals)
-        x_lin = 1.0 / cuts
-        x_log = np.log(1.0 / cuts)
+    # a cutoff far enough out overflows the quadrature or the fit; numpy's
+    # floating-point errors are raised and reported as a bad cutoff list
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if kind == "plane":
+                if np.any(cuts <= 1.0) or np.any(np.diff(cuts) <= 0.0):
+                    raise InputError("plane-wave cutoffs must be increasing and > 1")
+                integrals = []
+                for big_l in cuts:
+                    xi = np.linspace(-big_l, big_l, 4097)
+                    wave = np.exp(1j * xi)
+                    integrals.append(_trapezoid(np.abs(wave) ** 2, xi[1] - xi[0]))
+                integrals = np.array(integrals)
+                x_lin = cuts
+                x_log = np.log(cuts)
+            else:
+                if np.any(cuts <= 0.0) or np.any(cuts >= 1.0) or np.any(np.diff(cuts) >= 0.0):
+                    raise InputError("cutoffs must be a decreasing sequence in (0, 1)")
+                integrals = []
+                for eps in cuts:
+                    u = np.linspace(math.log(eps), 0.0, 8193)
+                    xi = np.exp(u)
+                    wave = correlation_eigenfunction(0.0, kind, xi)
+                    integrals.append(_trapezoid(np.abs(wave) ** 2 * xi, u[1] - u[0]))
+                integrals = np.array(integrals)
+                x_lin = 1.0 / cuts
+                x_log = np.log(1.0 / cuts)
 
-    linear_residual = _fit_relative_residual(x_lin, integrals)
-    log_residual = _fit_relative_residual(x_log, integrals)
+            linear_residual = _fit_relative_residual(x_lin, integrals)
+            log_residual = _fit_relative_residual(x_log, integrals)
+    except FloatingPointError:
+        listed = ",".join(format(c, "g") for c in cuts)
+        raise InputError(f"cutoffs {listed} overflow the norm integrals or their fit") from None
     classification = "linear" if linear_residual <= log_residual else "logarithmic"
     return DivergenceReport(
         kind=kind,

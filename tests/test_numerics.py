@@ -266,10 +266,13 @@ def test_round_robin_sweep_meets_every_pair_once():
 @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170])
 def test_hermitian_eigen_extreme_scales_match_eigvalsh(scale):
     # squares of entries near 1e160 overflow and near 1e-170 underflow;
-    # the solver sweeps and validates on an exactly rescaled copy
+    # the solver sweeps and validates on an exactly rescaled copy.  The last
+    # input overflows if folded as m + m^H before that rescaling.
     from quantumtoss.gamespace import build_precorrelation
 
-    for m in (scale * build_precorrelation(GameSpace(3)), scale * random_hermitian(11, 7)):
+    near_max = np.array([[1e308, 1e307], [1e307, -1e308]])
+    pc = build_precorrelation(GameSpace(3))
+    for m in (scale * pc, scale * random_hermitian(11, 7), near_max):
         dec = nx.hermitian_eigen(m)
         ref = np.linalg.eigvalsh(m)
         assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -373,3 +373,8 @@ def test_divergence_validation():
         divergence_scan("plane", [2.0, 4.0, 3.0, 8.0])  # not increasing
     with pytest.raises(InputError):
         divergence_scan("gaussian", [0.1, 0.03, 0.01, 0.003])
+    # cutoffs whose quadrature or fit overflows used to give nan and a class
+    with pytest.raises(InputError, match="1e\\+160 overflow"):
+        divergence_scan("plane", [2.0, 4.0, 8.0, 1e160])
+    with pytest.raises(InputError, match="1e-310 overflow"):
+        divergence_scan("weyl", [0.1, 0.01, 0.001, 1e-310])

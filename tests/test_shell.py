@@ -26,11 +26,11 @@ def parse_csv(text):
 
 
 def test_write_csv_header_only_for_empty_rows():
-    assert write_csv(["a", "b"], {"a": [], "b": np.array([])}) == "a,b\n"
+    assert write_csv({"a": [], "b": np.array([])}) == "a,b\n"
 
 
 def test_write_csv_quotes_list_fields():
-    text = write_csv(["n", "maxima"], {"n": [1], "maxima": [[-1.0, 1.0]]})
+    text = write_csv({"n": [1], "maxima": [[-1.0, 1.0]]})
     assert text == 'n,maxima\n1,"-1,1"\n'
 
 
@@ -127,12 +127,12 @@ def test_write_csv_matches_row_reference():
         "y": -np.array((EDGE_FLOATS * 2)[:n]),
     }
     header = ["x", "mixed", "text", "y"]
-    assert write_csv(header, table) == _csv_reference(header, table)
-    assert write_csv(['h,"1"', "x"], {'h,"1"': [1, 2], "x": np.array([0.5, -0.0])}) == (
+    assert write_csv(table) == _csv_reference(header, table)
+    assert write_csv({'h,"1"': [1, 2], "x": np.array([0.5, -0.0])}) == (
         _csv_reference(['h,"1"', "x"], {'h,"1"': [1, 2], "x": np.array([0.5, -0.0])})
     )
     with pytest.raises(ValueError, match="length"):
-        write_csv(["a", "b"], {"a": [1], "b": np.array([1.0, 2.0])})
+        write_csv({"a": [1], "b": np.array([1.0, 2.0])})
 
 
 @pytest.mark.parametrize(
@@ -432,6 +432,55 @@ def test_diverge_row(capsys):
     assert rows[0][1] == "linear"
     integrals = [float(tok) for tok in rows[0][5].split(",")]
     np.testing.assert_allclose(integrals, [4.0, 8.0, 16.0, 32.0, 64.0], rtol=1e-12)
+
+
+def test_diverge_overflowing_cutoffs_exit_2(capsys):
+    for kind, cutoffs in (("plane", "2,4,8,1e+160"), ("weyl", "0.1,0.01,0.001,1e-310")):
+        code, out, err = run(capsys, "diverge", "--kind", kind, "--cutoffs", cutoffs)
+        assert code == 2 and out == ""
+        assert f"cutoffs {cutoffs} overflow" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("operators", "--rounds", "2"),
+        ("audit", "--rounds", "3", "--mode", "periodic"),
+        ("spectrum", "--rounds", "3"),
+        ("sweep", "--rounds-max", "3"),
+    ],
+)
+def test_json_row_keys_equal_csv_header(capsys, argv):
+    code, csv_text, err = run(capsys, *argv)
+    assert code == 0, err
+    code, json_text, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    header, _ = parse_csv(csv_text)
+    rows = json.loads(json_text)["rows"]
+    assert rows and all(list(row) == header for row in rows)
+
+
+CSV_ONLY = {
+    "variance": ("--rounds", "3", "--n", "1", "--player", "1"),
+    "density": ("--n", "1"),
+    "peaks": ("--n", "1"),
+    "classical": ("--n", "1"),
+    "compare": ("--n", "1"),
+    "corr-eigen": ("--lambda", "1"),
+    "diverge": ("--kind", "plane", "--cutoffs", "2,4,8,16"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_ONLY))
+def test_csv_only_subcommands_reject_format_and_out(tmp_path, capsys, command):
+    argv = (command, *CSV_ONLY[command])
+    assert run(capsys, *argv)[0] == 0
+    out_path = tmp_path / "x"
+    for extra in (("--format", "json"), ("--out", str(out_path))):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+    assert not out_path.exists()
 
 
 def test_out_flag_redirects_output(tmp_path, capsys):
