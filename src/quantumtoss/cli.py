@@ -20,6 +20,8 @@ numerical failure or I/O error.
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 
 import numpy as np
@@ -47,6 +49,8 @@ PROG = "quantumtoss"
 # largest --rounds-max of `sweep`: 128 spectra up to dimension 129, which
 # took 20-21 s in periodic mode (8-12 s finite) on a 2-vCPU Linux VM
 SWEEP_ROUNDS_MAX = 128
+# argparse reads only -12 and -1.5 as negative numbers, and -1e-3 as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _nonneg_int(text: str) -> int:
@@ -164,6 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("plane", "printed", "weyl"), required=True)
     p.add_argument("--cutoffs", type=_cutoff_list, required=True)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -262,10 +268,15 @@ def _cmd_peaks(args):
     _emit(args, reports.peaks_rows(density_peaks(args.n)))
 
 
-def _cmd_classical(args):
-    if args.xi_min >= args.xi_max:
+def _grid(args) -> np.ndarray:
+    # a range whose width overflows would fill the grid with inf and nan
+    if not math.isfinite(args.xi_max - args.xi_min) or args.xi_min >= args.xi_max:
         raise InputError(f"invalid range [{args.xi_min}, {args.xi_max}]")
-    xi = np.linspace(args.xi_min, args.xi_max, args.samples)
+    return np.linspace(args.xi_min, args.xi_max, args.samples)
+
+
+def _cmd_classical(args):
+    xi = _grid(args)
     density = classical_mixture_density(args.n, xi)
     figure = None
     if args.svg is not None:
@@ -299,7 +310,7 @@ def _cmd_compare(args):
 
 
 def _cmd_corr_eigen(args):
-    xi = np.linspace(args.xi_min, args.xi_max, args.samples)
+    xi = _grid(args)
     values = correlation_eigenfunction(args.lam, args.ordering, xi)
     _emit(args, reports.correigen_rows(xi, values))
 

@@ -2,12 +2,12 @@
 
 In the dimensionless pay-off variable xi the round-n state solves
 -psi'' + xi^2 psi = (2n + 1) psi, so the wavefunctions are normalized
-Hermite functions.  This module evaluates them stably and locates the
-density peaks by one array bisection between the Hermite zeros, which are
-the spectrum of the finite-mode pay-off matrix pi1.  It compares against
-the classical +-1-step random walk seeded with the round-zero Gaussian, and
-scans the normalization divergence of the continuous correlation
-eigenfunctions under both operator orderings.
+Hermite functions.  This module evaluates them stably and takes the
+Hermite zeros and the density peaks from the spectrum of the finite-mode
+pay-off matrix pi1, the peaks with its last coupling set to sqrt(n).  It
+compares against the classical +-1-step random walk seeded with the
+round-zero Gaussian, and scans the normalization divergence of the
+continuous correlation eigenfunctions under both operator orderings.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .numerics import hermitian_eigen
 HERMITE_N_MAX = 300
 PEAKS_N_MAX = 100
 COMPARE_N_MAX = 50
-BISECT_XTOL = 1e-12
 ORDERINGS = ("printed", "weyl")
 DIVERGENCE_KINDS = ("plane", "printed", "weyl")
 
@@ -82,7 +81,8 @@ def psi(n: int, xi):
     x = _as_grid(xi)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    psi_prev = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    with np.errstate(over="ignore"):  # beyond |xi| ~ 1e154 the Gaussian is exactly 0
+        psi_prev = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
     if n == 0:
         return float(psi_prev[0]) if scalar else psi_prev
     psi_cur = math.sqrt(2.0) * x * psi_prev
@@ -115,36 +115,17 @@ def density_grid(n: int, xi_min: float, xi_max: float, samples: int) -> DensityG
         raise InputError("samples must be an integer")
     if samples < 2:
         raise InputError("need at least 2 samples")
-    if not (math.isfinite(xi_min) and math.isfinite(xi_max)) or xi_min >= xi_max:
+    if not math.isfinite(float(xi_max) - float(xi_min)) or xi_min >= xi_max:
         raise InputError(f"invalid range [{xi_min}, {xi_max}]")
     xi = np.linspace(xi_min, xi_max, int(samples))
     wave = psi(n, xi)
     return DensityGrid(n=int(n), xi=xi, psi=wave, density=wave * wave)
 
 
-def _bisect(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Roots of the elementwise fn, one in each sign-changing bracket [lo[i], hi[i]].
-
-    All brackets halve together, one call of fn per step, for the fixed
-    ceil(log2(max width / BISECT_XTOL)) steps; a bracket whose midpoint has
-    fn exactly 0 collapses onto that point.
-    """
-    rising = fn(lo) > 0  # fn keeps the sign of fn(lo) below the root
-    bad = np.flatnonzero(rising == (fn(hi) > 0))
-    if bad.size:
-        i = bad[0]
-        raise ConvergenceError(
-            f"no sign change on bracket {i}: [{float(lo[i])!r}, {float(hi[i])!r}]"
-        )
-    width = float(np.max(hi - lo))
-    steps = math.ceil(math.log2(width / BISECT_XTOL)) if width > BISECT_XTOL else 0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        below = (fmid > 0) == rising
-        lo = np.where(below | (fmid == 0), mid, lo)
-        hi = np.where(below & (fmid != 0), hi, mid)
-    return 0.5 * (lo + hi)
+def _folded_spectrum(m) -> np.ndarray:
+    # ascending eigenvalues of a pi1-like matrix, folded to exact negation symmetry
+    lam = hermitian_eigen(m).eigenvalues
+    return 0.5 * (lam - lam[::-1])
 
 
 def hermite_zeros(n: int) -> np.ndarray:
@@ -159,8 +140,7 @@ def hermite_zeros(n: int) -> np.ndarray:
     _check_round(n, PEAKS_N_MAX)
     if n < 1:
         raise InputError("zero count is defined for n >= 1")
-    lam = hermitian_eigen(build_payoffs(GameSpace(n - 1))[0]).eigenvalues
-    return 0.5 * (lam - lam[::-1])
+    return _folded_spectrum(build_payoffs(GameSpace(n - 1))[0])
 
 
 @dataclass(frozen=True)
@@ -173,26 +153,25 @@ class PeakSet:
 
 
 def density_peaks(n: int) -> PeakSet:
-    """Locate all maxima of P_n by one array bisection over n + 1 brackets.
+    """All n + 1 maxima of P_n, ascending.
 
-    The stationarity condition 2n H_{n-1}(xi) - xi H_n(xi) = 0 is solved as
-    sqrt(2n) psi_{n-1} - xi psi_n (the same function times the positive
-    factor C_n e^(-xi^2/2), and identically psi_n'), bracketed by the zeros
-    of H_n extended with the outer bound sqrt(2n + 1) + 2.  Each root is
-    confirmed to be a maximum by a second-difference check.
+    A maximum solves psi_n' = sqrt(2n) psi_{n-1} - xi psi_n = 0, which turns
+    the last row of xi psi = pi1 psi on |0> ... |n> (finite mode, kappa = 1)
+    into xi psi_n = sqrt(2n) psi_{n-1}; a diagonal similarity makes the
+    coupling symmetric.  So the maxima are the eigenvalues of that pi1 with
+    entries (n, n-1) and (n-1, n) set to sqrt(n), the zeros of
+    n H_{n-1} - H_{n+1} / 2.  A second-difference check confirms each one.
     """
     _check_round(n, PEAKS_N_MAX)
     centers = np.arange(-n, n + 1, 2, dtype=float)
     if n == 0:
         return PeakSet(n=0, maxima=np.zeros(1), classical_centers=centers)
 
-    root_factor = math.sqrt(2.0 * n)
-    outer = math.sqrt(2.0 * n + 1.0) + 2.0
-    pts = np.concatenate(([-outer], hermite_zeros(n), [outer]))
-    maxima = _bisect(lambda x: root_factor * psi(n - 1, x) - x * psi(n, x), pts[:-1], pts[1:])
+    pi1 = build_payoffs(GameSpace(n))[0]
+    pi1[n, n - 1] = pi1[n - 1, n] = math.sqrt(n)
+    maxima = _folded_spectrum(pi1)
 
-    h = 1e-4
-    d2 = psi(n, maxima + h) ** 2 - 2.0 * psi(n, maxima) ** 2 + psi(n, maxima - h) ** 2
+    d2 = central_second_difference(lambda x: psi(n, x) ** 2, maxima, 1e-4)
     bad = np.flatnonzero(d2 >= 0.0)
     if bad.size:
         raise ConvergenceError(f"stationary point {float(maxima[bad[0]])!r} is not a density maximum")
@@ -255,8 +234,9 @@ def classical_mixture_density(n: int, grid) -> np.ndarray:
     mix = classical_mixture(n)
     x = np.atleast_1d(_as_grid(grid))
     out = np.zeros_like(x)
-    for w, c in zip(mix.weights, mix.centers):
-        out += w * np.exp(-((x - c) ** 2)) / math.sqrt(math.pi)
+    with np.errstate(over="ignore"):  # as in psi, the overflow rounds to an exact 0
+        for w, c in zip(mix.weights, mix.centers):
+            out += w * np.exp(-((x - c) ** 2)) / math.sqrt(math.pi)
     return out
 
 

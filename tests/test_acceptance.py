@@ -22,6 +22,7 @@ from quantumtoss.numerics import commutator, hermitian_eigen
 from quantumtoss.roundwaves import (
     classical_mixture_density,
     compare_quantum_classical,
+    correlation_eigenfunction,
     density_peaks,
     divergence_scan,
     psi,
@@ -202,6 +203,35 @@ def test_criterion_10_eigensolver_matches_oracle():
         for m in battery:
             lam = hermitian_eigen(m).eigenvalues
             np.testing.assert_allclose(lam, eigenvalues_oracle(m), atol=1e-9)
+
+
+def test_criterion_12_weyl_ordering_from_the_matrix():
+    # The PC eigenvectors of finite N = 127, taken to xi-space as
+    # sum_n v_n psi_n(xi), decay like |xi|^(-1/2) and turn with phase
+    # -lambda log xi: the Weyl exponent s = -1/2 - i lambda, not the printed
+    # -1 - i lambda.
+    with criterion("12 (Weyl ordering from the matrix eigenvectors)"):
+        rows = correlation_spectrum(GameSpace(127)).rows
+        xi = np.linspace(0.5, 6.0, 400)
+        waves = np.array([psi(n, xi) for n in range(128)])
+
+        def slope(y):
+            return np.polyfit(np.log(xi), y, 1)[0]
+
+        for target in (0.0, 0.5, 1.0, 2.0):
+            for parity in ("even", "odd"):
+                row = min(
+                    (r for r in rows if r.parity == parity),
+                    key=lambda r: abs(r.eigenvalue - target),
+                )
+                lam = row.eigenvalue
+                wave = row.vector @ waves
+                decay = slope(np.log(np.abs(wave)))
+                weyl = slope(np.log(np.abs(correlation_eigenfunction(lam, "weyl", xi))))
+                printed = slope(np.log(np.abs(correlation_eigenfunction(lam, "printed", xi))))
+                assert abs(decay - weyl) < 0.03, (target, parity, decay)
+                assert abs(decay - printed) > 0.4, (target, parity, decay)
+                assert abs(slope(np.unwrap(np.angle(wave))) + lam) < 0.03, (target, parity)
 
 
 CLI_RUNS = [

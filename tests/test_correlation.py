@@ -270,3 +270,18 @@ def test_kappa_scaling_covariance_property(rounds, mode, kappa1, kappa2):
     np.testing.assert_allclose(scaled, scale * unit, rtol=1e-14, atol=0)
     direct = hermitian_eigen(build_precorrelation(GameSpace(rounds, mode, kappa1, kappa2)))
     np.testing.assert_allclose(direct.eigenvalues, scale * unit, atol=1e-10 * max(1.0, scale))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(rounds=st.integers(1, 40), mode=st.sampled_from(["finite", "periodic"]))
+def test_spectrum_negation_symmetry_property(rounds, mode):
+    lam = correlation_spectrum(GameSpace(rounds, mode=mode)).eigenvalues
+    np.testing.assert_allclose(lam, -lam[::-1], rtol=0, atol=1e-12 * np.max(np.abs(lam)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(rounds=st.integers(1, 40))
+def test_finite_payoff_expectations_vanish_property(rounds):
+    # finite-mode eigenstates are parity-pure and pi_j flips parity
+    for row in correlation_spectrum(GameSpace(rounds)).rows:
+        assert row.exp_pi1 == 0.0 and row.exp_pi2 == 0.0

@@ -121,6 +121,16 @@ def test_density_grid_validation():
         density_grid(1, 2.0, -2.0, 100)
     with pytest.raises(InputError):
         density_grid(1, -2.0, 2.0, 1)
+    with pytest.raises(InputError, match=r"invalid range \[-1e\+308, 1.7e\+308\]"):
+        density_grid(1, -1e308, 1.7e308, 5)
+
+
+def test_densities_vanish_without_warning_on_huge_grids():
+    # where xi * xi overflows, the Gaussian factor is an exact 0
+    xs = np.array([-1e300, 0.0, 1e300])
+    np.testing.assert_array_equal(psi(2, xs), [0.0, psi(2, 0.0), 0.0])
+    center = classical_mixture_density(3, np.zeros(1))[0]
+    np.testing.assert_array_equal(classical_mixture_density(3, xs), [0.0, center, 0.0])
 
 
 def test_hermite_zeros_frozen():
@@ -153,6 +163,16 @@ def test_hermite_zeros_match_eigvalsh(n):
     zs = hermite_zeros(n)
     np.testing.assert_allclose(zs, np.linalg.eigvalsh(jacobi), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(zs, -zs[::-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 31, 64, 100])
+def test_density_peaks_match_hermroots(n):
+    # the maxima solve 2n H_{n-1} - xi H_n = 0, i.e. n H_{n-1} - H_{n+1} / 2 = 0;
+    # hermroots is a test oracle only
+    coef = np.zeros(n + 2)
+    coef[n - 1], coef[n + 1] = n, -0.5
+    roots = np.sort(np.polynomial.hermite.hermroots(coef).real)
+    np.testing.assert_allclose(density_peaks(n).maxima, roots, rtol=0, atol=1e-12)
 
 
 def test_density_peaks_every_order_to_the_ceiling():

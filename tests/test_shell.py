@@ -516,6 +516,40 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "peaks", "--n", "500")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("corr-eigen", "--samples", "3"), "--lambda", "-1e-3"),
+        (("density", "--n", "3", "--samples", "3"), "--xi-min", "-1e2"),
+        (("classical", "--n", "2", "--samples", "3"), "--xi-min", "-1.5E+2"),
+    ],
+)
+def test_negative_exponent_value_after_a_flag(capsys, argv, flag, value):
+    joined = run(capsys, *argv, f"{flag}={value}")
+    assert joined[0] == 0, joined[2]
+    assert run(capsys, *argv, flag, value) == joined
+
+
+@pytest.mark.parametrize("command", ["density", "classical"])
+def test_huge_grid_prints_zeros_without_warnings(capsys, command):
+    code, out, err = run(
+        capsys, command, "--n", "3", "--xi-min=-1e300", "--xi-max", "1e300", "--samples", "5"
+    )
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert float(rows[0][-1]) == float(rows[-1][-1]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("density", "--n", "3"), ("classical", "--n", "3"), ("corr-eigen", "--lambda", "1")],
+)
+def test_overflowing_grid_width_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--xi-min=-1e308", "--xi-max", "1.7e308")
+    assert code == 2 and out == ""
+    assert "invalid range [-1e+308, 1.7e+308]" in err
+
+
 def test_spectrum_huge_kappa_exits_zero_with_finite_values(capsys):
     code, out, err = run(capsys, "spectrum", "--rounds", "3", "--kappa1", "1e200")
     assert code == 0, err
