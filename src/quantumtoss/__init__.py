@@ -23,10 +23,7 @@ from .gamespace import (
     OperatorSet,
     audit_commutators,
     build_ladder,
-    build_number,
     build_operators,
-    build_payoffs,
-    build_precorrelation,
     number_state,
     payoff_variance,
 )
@@ -36,8 +33,6 @@ from .numerics import (
     commutator,
     expectation,
     hermitian_eigen,
-    is_hermitian,
-    multiply,
 )
 from .roundwaves import (
     ClassicalMixture,

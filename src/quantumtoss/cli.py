@@ -49,8 +49,9 @@ PROG = "quantumtoss"
 # largest --rounds-max of `sweep`: 128 spectra up to dimension 129, which
 # took 20-21 s in periodic mode (8-12 s finite) on a 2-vCPU Linux VM
 SWEEP_ROUNDS_MAX = 128
-# argparse reads only -12 and -1.5 as negative numbers, and -1e-3 as an option
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# argparse reads only -12 and -1.5 as negative numbers, and -1e-3 or -inf as
+# an option; this also takes exponents and inf, infinity and nan in any case
+_NEGATIVE_NUMBER = re.compile(r"(?i)^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$")
 
 
 def _nonneg_int(text: str) -> int:
@@ -190,10 +191,11 @@ def _emit(args, table, config=None, audit=None, figure=None):
             fh.write(figure)
 
 
-def _game_config(args, subcommand: str) -> dict:
+def _game_config(args) -> dict:
+    rounds = "rounds_max" if args.subcommand == "sweep" else "rounds"
     return {
-        "subcommand": subcommand,
-        "rounds": args.rounds,
+        "subcommand": args.subcommand,
+        rounds: getattr(args, rounds),
         "mode": args.mode,
         "kappa1": args.kappa1,
         "kappa2": args.kappa2,
@@ -210,20 +212,20 @@ def _cmd_operators(args):
         "metrics": dict(zip(metrics["metric"], metrics["value"])),
         **reports.audit_detail(audit),
     }
-    _emit(args, reports.operator_rows(ops), _game_config(args, "operators"), audit=audit_obj)
+    _emit(args, reports.operator_rows(ops), _game_config(args), audit=audit_obj)
 
 
 def _cmd_audit(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
     audit = audit_commutators(gs)
-    _emit(args, reports.audit_rows(audit), _game_config(args, "audit"),
+    _emit(args, reports.audit_rows(audit), _game_config(args),
           audit=reports.audit_detail(audit))
 
 
 def _cmd_spectrum(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
     report = correlation_spectrum(gs)
-    _emit(args, reports.spectrum_rows(report), _game_config(args, "spectrum"))
+    _emit(args, reports.spectrum_rows(report), _game_config(args))
 
 
 def _cmd_sweep(args):
@@ -231,19 +233,11 @@ def _cmd_sweep(args):
         raise InputError(
             f"--rounds-max {args.rounds_max} exceeds the sweep ceiling {SWEEP_ROUNDS_MAX}"
         )
-    config = {
-        "subcommand": "sweep",
-        "rounds_max": args.rounds_max,
-        "mode": args.mode,
-        "kappa1": args.kappa1,
-        "kappa2": args.kappa2,
-        "format": args.format,
-    }
     tables = []
     for rounds in range(1, args.rounds_max + 1):
         gs = GameSpace(rounds, args.mode, args.kappa1, args.kappa2)
         tables.append(reports.spectrum_rows(correlation_spectrum(gs), rounds=rounds))
-    _emit(args, reports.concat_tables(tables), config)
+    _emit(args, reports.concat_tables(tables), _game_config(args))
 
 
 def _cmd_variance(args):
@@ -346,10 +340,7 @@ def run_cli(argv=None) -> int:
     except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, StructureError) as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConvergenceError, StructureError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,8 +114,8 @@ class CorrelationReport:
 
 
 def sign_classification(report: CorrelationReport) -> tuple[int, ...]:
-    """Sign classes of the report's spectrum, in row order."""
-    return tuple(int(s) for s in classify_signs(report.eigenvalues))
+    """Sign classes of the report's rows, in row order (taken at kappa = 1)."""
+    return tuple(row.sign_class for row in report.rows)
 
 
 def _column_means(vecs: np.ndarray, images: np.ndarray) -> np.ndarray:

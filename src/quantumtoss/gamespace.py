@@ -116,22 +116,6 @@ def build_operators(gs: GameSpace) -> OperatorSet:
     )
 
 
-def build_number(gs: GameSpace) -> np.ndarray:
-    """Round counter a_plus @ a_minus (see build_operators)."""
-    return build_operators(gs).number
-
-
-def build_payoffs(gs: GameSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian pay-off matrices (pi1, pi2) of both players (see build_operators)."""
-    ops = build_operators(gs)
-    return ops.pi1, ops.pi2
-
-
-def build_precorrelation(gs: GameSpace) -> np.ndarray:
-    """Symmetrized pay-off product (pi1 pi2 + pi2 pi1) / 2 (see build_operators)."""
-    return build_operators(gs).precorrelation
-
-
 def ladder_commutator_diagonal(gs: GameSpace) -> np.ndarray:
     """Closed form of diag([a_minus, a_plus]) for the mode.
 
@@ -251,7 +235,8 @@ def payoff_variance(gs: GameSpace, n: int, player: int) -> PayoffVariance:
         raise InputError(f"player must be 1 or 2, got {player!r}")
     state = number_state(gs, n)  # validates n
     kappa = gs.kappa1 if player == 1 else gs.kappa2
-    pi = build_payoffs(GameSpace(gs.rounds_max, gs.mode))[player - 1]
+    ops = build_operators(GameSpace(gs.rounds_max, gs.mode))
+    pi = ops.pi1 if player == 1 else ops.pi2
     value = kappa * kappa * expectation(state, pi @ pi).real
     if not math.isfinite(value):
         raise InputError(f"kappa{player} = {kappa:.3e} overflows the mean-squared pay-off")

@@ -1,10 +1,12 @@
 """Dense complex linear algebra on numpy arrays.
 
 Matrices are plain ``complex128`` numpy arrays; all functions treat their
-arguments as immutable and return fresh arrays.  The Hermitian eigensolver is
-self-contained (complex Jacobi sweeps in a fixed round-robin ordering, each
-step a batch of disjoint rotations) so that its rotation order, tie-breaking
-and phase convention are fully pinned down and runs are bit-reproducible.
+arguments as immutable and return fresh arrays.  Besides validation, the
+adjoint, norms and expectation values, the module has an error-free (Dekker)
+commutator and a self-contained Hermitian eigensolver (complex Jacobi sweeps
+in a fixed round-robin ordering, each step a batch of disjoint rotations), so
+that its rotation order, tie-breaking and phase convention are fully pinned
+down and runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -44,15 +46,6 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
     if abs(nrm - 1.0) > STATE_NORM_TOL:
         raise InputError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
     return a
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product a @ b; the factors must have equal dimension."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise InputError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
 
 
 def adjoint(a) -> np.ndarray:
@@ -125,10 +118,6 @@ def hermitian_deviation(m) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    return hermitian_deviation(m) <= tol
-
-
 def norm_inf(m) -> float:
     """Operator infinity norm (max absolute row sum)."""
     m = as_matrix(m)
@@ -139,15 +128,13 @@ def norm_inf(m) -> float:
 class SpectralDecomposition:
     """Real eigenvalues (ascending) with orthonormal eigenvector columns.
 
-    ``vectors[:, k]`` pairs with ``eigenvalues[k]``.  ``parity`` is filled by
-    callers that know a block structure; it is None here.  ``sweeps`` is the
-    number of Jacobi sweeps the solver ran (0 for a zero matrix).
+    ``vectors[:, k]`` pairs with ``eigenvalues[k]``.  ``sweeps`` is the
+    number of Jacobi sweeps the solver ran (0 for a diagonal matrix).
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    parity: tuple[str, ...] | None = None
-    sweeps: int = 0
+    sweeps: int
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -227,7 +214,7 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (ref.conjugate() / abs(ref))
 
 
-def hermitian_eigen(m, tol: float = EIGEN_TOL) -> SpectralDecomposition:
+def hermitian_eigen(m) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
     The matrix, scaled to unit size by an exact power of two, is rotated
@@ -240,20 +227,17 @@ def hermitian_eigen(m, tol: float = EIGEN_TOL) -> SpectralDecomposition:
 
     Raises InputError for non-Hermitian input or dimension above
     EIGEN_DIM_MAX, ConvergenceError if sweeps stall or the decomposition
-    fails its own residual/orthonormality/completeness checks at ``tol``.
+    fails its own residual/orthonormality/completeness checks at EIGEN_TOL.
     """
     m = as_matrix(m)
     n = m.shape[0]
     if n > EIGEN_DIM_MAX:
         raise InputError(f"dimension {n} exceeds the eigensolver ceiling {EIGEN_DIM_MAX}")
-    if not is_hermitian(m, HERMITIAN_TOL):
-        raise InputError(
-            f"matrix is not Hermitian: deviation {hermitian_deviation(m):.3e}"
-        )
+    deviation = hermitian_deviation(m)
+    if deviation > HERMITIAN_TOL:
+        raise InputError(f"matrix is not Hermitian: deviation {deviation:.3e}")
 
     peak = float(np.max(np.abs(m)))
-    if peak == 0.0:
-        return SpectralDecomposition(np.zeros(n), np.eye(n, dtype=complex))
     e = max(int(np.frexp(peak)[1]), -1021)  # 2^e is within a factor 2 of max |m|
     unit = m * np.ldexp(1.0, -e)
     # fold the sub-tolerance asymmetry away after scaling, where the sum
@@ -268,14 +252,14 @@ def hermitian_eigen(m, tol: float = EIGEN_TOL) -> SpectralDecomposition:
     for k in range(n):
         vecs[:, k] = _fix_phase(vecs[:, k])
 
-    _check_decomposition(unit, lam[order], vecs, tol, e)
+    _check_decomposition(unit, lam[order], vecs, e)
     return SpectralDecomposition(eigenvalues, vecs, sweeps=sweeps)
 
 
-def _check_decomposition(unit, lam, vecs, tol, e):
-    """Validate m = unit * 2^e with eigenvalues lam * 2^e.
+def _check_decomposition(unit, lam, vecs, e):
+    """Validate m = unit * 2^e with eigenvalues lam * 2^e at EIGEN_TOL.
 
-    The residual test |m v - lambda v| <= tol (1 + |m|_inf) is evaluated
+    The residual test |m v - lambda v| <= EIGEN_TOL (1 + |m|_inf) is evaluated
     with both sides times 2^-e, an exact scaling, so entries of m far above
     the square root of the float range do not overflow it.
     """
@@ -285,8 +269,8 @@ def _check_decomposition(unit, lam, vecs, tol, e):
     resid = float(np.max(np.linalg.norm(unit @ vecs - vecs * lam, axis=0)))
     completeness = vecs @ vecs.conj().T - np.eye(n)
     resolution = float(np.max(np.sum(np.abs(completeness), axis=1)))
-    bound = tol * (np.ldexp(1.0, -e) + norm_inf(unit))
-    if orth > tol or resid > bound or resolution > tol:
+    bound = EIGEN_TOL * (np.ldexp(1.0, -e) + norm_inf(unit))
+    if orth > EIGEN_TOL or resid > bound or resolution > EIGEN_TOL:
         resid, bound = float(np.ldexp(resid, e)), float(np.ldexp(bound, e))
         raise ConvergenceError(
             "spectral decomposition failed validation: "

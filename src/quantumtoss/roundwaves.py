@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .gamespace import GameSpace, build_payoffs
+from .gamespace import GameSpace, build_operators
 from .numerics import hermitian_eigen
 
 HERMITE_N_MAX = 300
@@ -140,7 +140,7 @@ def hermite_zeros(n: int) -> np.ndarray:
     _check_round(n, PEAKS_N_MAX)
     if n < 1:
         raise InputError("zero count is defined for n >= 1")
-    return _folded_spectrum(build_payoffs(GameSpace(n - 1))[0])
+    return _folded_spectrum(build_operators(GameSpace(n - 1)).pi1)
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def density_peaks(n: int) -> PeakSet:
     if n == 0:
         return PeakSet(n=0, maxima=np.zeros(1), classical_centers=centers)
 
-    pi1 = build_payoffs(GameSpace(n))[0]
+    pi1 = build_operators(GameSpace(n)).pi1
     pi1[n, n - 1] = pi1[n - 1, n] = math.sqrt(n)
     maxima = _folded_spectrum(pi1)
 

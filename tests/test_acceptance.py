@@ -14,7 +14,6 @@ from quantumtoss.gamespace import (
     GameSpace,
     audit_commutators,
     build_operators,
-    build_precorrelation,
     ladder_commutator_diagonal,
     payoff_variance,
 )
@@ -192,9 +191,9 @@ def test_criterion_10_eigensolver_matches_oracle():
             np.array([[1.0, 1.0 + 1j], [1.0 - 1j, -1.0]]),
             np.diag([3.0, 1.0, 2.0]).astype(complex),
             np.diag([1.0, 1.0, 2.0]).astype(complex),
-            build_precorrelation(GameSpace(2)),
-            build_precorrelation(GameSpace(3)),
-            build_precorrelation(GameSpace(3, kappa1=2.0, kappa2=0.5)),
+            build_operators(GameSpace(2)).precorrelation,
+            build_operators(GameSpace(3)).precorrelation,
+            build_operators(GameSpace(3, kappa1=2.0, kappa2=0.5)).precorrelation,
         ]
         rng = np.random.default_rng(42)
         for dim in (2, 3, 4, 4):

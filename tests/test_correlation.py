@@ -13,7 +13,7 @@ from quantumtoss.correlation import (
     sign_classification,
 )
 from quantumtoss.errors import InputError, StructureError
-from quantumtoss.gamespace import GameSpace, build_operators, build_precorrelation
+from quantumtoss.gamespace import GameSpace, build_operators
 from quantumtoss.numerics import hermitian_eigen
 
 SQRT_HALF = math.sqrt(0.5)
@@ -28,7 +28,7 @@ def expected_zero_count(dim):
 
 
 def test_parity_blocks_dim3():
-    blocks = parity_blocks(build_precorrelation(GameSpace(2)))
+    blocks = parity_blocks(build_operators(GameSpace(2)).precorrelation)
     assert blocks.even.shape == (2, 2)
     assert blocks.odd.shape == (1, 1)
     assert blocks.even_index == (0, 2)
@@ -36,13 +36,13 @@ def test_parity_blocks_dim3():
 
 
 def test_parity_blocks_dim2_zero_matrix():
-    blocks = parity_blocks(build_precorrelation(GameSpace(1)))
+    blocks = parity_blocks(build_operators(GameSpace(1)).precorrelation)
     np.testing.assert_array_equal(blocks.even, np.zeros((1, 1)))
     np.testing.assert_array_equal(blocks.odd, np.zeros((1, 1)))
 
 
 def test_parity_blocks_dim5_partition():
-    blocks = parity_blocks(build_precorrelation(GameSpace(4)))
+    blocks = parity_blocks(build_operators(GameSpace(4)).precorrelation)
     assert blocks.even_index == (0, 2, 4)
     assert blocks.odd_index == (1, 3)
 
@@ -201,7 +201,7 @@ def test_periodic_mode_reports_mixed_parity():
 
 
 def test_parity_blocks_names_first_offending_entry_row_major():
-    pc = build_precorrelation(GameSpace(6))
+    pc = build_operators(GameSpace(6)).precorrelation
     pc[4, 0] = 0.5  # |m - n| = 4, but row-major order meets (2, 5) first
     pc[2, 5] = pc[5, 2] = 0.25j  # |m - n| = 3
     with pytest.raises(StructureError, match=r"entry \(2, 5\)"):
@@ -247,6 +247,30 @@ def test_spectrum_tiny_kappa_keeps_sign_classes():
         assert row.eigenvalue == pytest.approx(1e-12 * ref.eigenvalue, rel=1e-12)
 
 
+def test_sign_classification_reads_the_rows():
+    # one sign-class path: the rows' kappa = 1 classes, also at tiny kappa
+    tiny = correlation_spectrum(GameSpace(3, kappa1=1e-6, kappa2=1e-6))
+    assert sign_classification(tiny) == (-1, -1, 1, 1)
+    for mode in ("finite", "periodic"):
+        for kappa in (1e-6, 1.0, 1e6):
+            report = correlation_spectrum(GameSpace(6, mode, kappa, kappa))
+            assert sign_classification(report) == tuple(row.sign_class for row in report.rows)
+
+
+@pytest.mark.parametrize("rounds", range(1, 42, 2))
+def test_periodic_odd_rounds_eigenstates_are_parity_pure(rounds):
+    # odd N keeps the wrap couplings inside each parity, so every eigenstate
+    # of the whole matrix lives on even or on odd indices only; N = 1 mod 4
+    # gives a double zero eigenvalue, one per parity
+    report = correlation_spectrum(GameSpace(rounds, mode="periodic"))
+    for row in report.rows:
+        assert not np.any(row.vector[0::2]) or not np.any(row.vector[1::2])
+        assert row.exp_pi1 == 0.0 and row.exp_pi2 == 0.0
+    lam = report.eigenvalues
+    zeros = int(np.sum(np.abs(lam) <= 1e-10 * max(1.0, float(np.max(np.abs(lam))))))
+    assert zeros == (2 if rounds % 4 == 1 else 0)
+
+
 def test_spectrum_rejects_kappa_overflow():
     with pytest.raises(InputError, match="overflow"):
         correlation_spectrum(GameSpace(3, kappa1=1e200, kappa2=1e200))
@@ -268,7 +292,7 @@ def test_kappa_scaling_covariance_property(rounds, mode, kappa1, kappa2):
     unit = correlation_spectrum(GameSpace(rounds, mode=mode)).eigenvalues
     scaled = correlation_spectrum(GameSpace(rounds, mode, kappa1, kappa2)).eigenvalues
     np.testing.assert_allclose(scaled, scale * unit, rtol=1e-14, atol=0)
-    direct = hermitian_eigen(build_precorrelation(GameSpace(rounds, mode, kappa1, kappa2)))
+    direct = hermitian_eigen(build_operators(GameSpace(rounds, mode, kappa1, kappa2)).precorrelation)
     np.testing.assert_allclose(direct.eigenvalues, scale * unit, atol=1e-10 * max(1.0, scale))
 
 

@@ -9,10 +9,7 @@ from quantumtoss.gamespace import (
     GameSpace,
     audit_commutators,
     build_ladder,
-    build_number,
     build_operators,
-    build_payoffs,
-    build_precorrelation,
     ladder_commutator_diagonal,
     number_state,
     payoff_variance,
@@ -63,36 +60,37 @@ def test_ladder_single_state():
 
 
 def test_number_finite_counts_rounds():
-    np.testing.assert_allclose(build_number(GameSpace(3)), np.diag([0.0, 1, 2, 3]), atol=1e-15)
-    np.testing.assert_array_equal(build_number(GameSpace(0)), np.zeros((1, 1)))
+    np.testing.assert_allclose(build_operators(GameSpace(3)).number, np.diag([0.0, 1, 2, 3]), atol=1e-15)
+    np.testing.assert_array_equal(build_operators(GameSpace(0)).number, np.zeros((1, 1)))
 
 
 def test_number_periodic_wrap_shifts_ground_count():
     np.testing.assert_allclose(
-        build_number(GameSpace(2, mode="periodic")), np.diag([1.0, 1.0, 2.0]), atol=1e-15
+        build_operators(GameSpace(2, mode="periodic")).number, np.diag([1.0, 1.0, 2.0]), atol=1e-15
     )
 
 
 def test_payoff_matrices_dim2():
-    pi1, pi2 = build_payoffs(GameSpace(1))
+    ops = build_operators(GameSpace(1))
+    pi1, pi2 = ops.pi1, ops.pi2
     s = math.sqrt(0.5)
     np.testing.assert_allclose(pi1, np.array([[0, s], [s, 0]]), atol=1e-15)
     np.testing.assert_allclose(pi2, np.array([[0, 1j * s], [-1j * s, 0]]), atol=1e-15)
 
 
 def test_payoff_scaling_linear_in_kappa():
-    pi1_unit, _ = build_payoffs(GameSpace(1))
-    pi1_scaled, _ = build_payoffs(GameSpace(1, kappa1=3.0))
+    pi1_unit = build_operators(GameSpace(1)).pi1
+    pi1_scaled = build_operators(GameSpace(1, kappa1=3.0)).pi1
     np.testing.assert_allclose(pi1_scaled, 3.0 * pi1_unit, atol=1e-15)
 
 
 def test_precorrelation_dim2_vanishes():
-    np.testing.assert_allclose(build_precorrelation(GameSpace(1)), np.zeros((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(build_operators(GameSpace(1)).precorrelation, np.zeros((2, 2)), atol=1e-15)
 
 
 def test_precorrelation_dim3_entries():
     # (pi1 pi2 + pi2 pi1)/2 = -(i/2)(raise^2 - lower^2); <2|raise^2|0> = sqrt(2)
-    pc = build_precorrelation(GameSpace(2))
+    pc = build_operators(GameSpace(2)).precorrelation
     expected = np.zeros((3, 3), dtype=complex)
     expected[2, 0] = -1j / math.sqrt(2)
     expected[0, 2] = 1j / math.sqrt(2)
@@ -100,13 +98,13 @@ def test_precorrelation_dim3_entries():
 
 
 def test_precorrelation_odd_row_vanishes_dim3():
-    pc = build_precorrelation(GameSpace(2))
+    pc = build_operators(GameSpace(2)).precorrelation
     np.testing.assert_array_equal(pc[1, :], np.zeros(3))
 
 
 def test_precorrelation_couples_only_two_apart():
     for dim in SAMPLE_DIMS:
-        pc = build_precorrelation(GameSpace(dim - 1))
+        pc = build_operators(GameSpace(dim - 1)).precorrelation
         for m in range(dim):
             for n in range(dim):
                 if abs(m - n) != 2:
@@ -127,7 +125,7 @@ def test_operator_set_consistency():
 def test_precorrelation_entries_purely_imaginary():
     for dim in (3, 6, 11):
         for mode in ("finite", "periodic"):
-            pc = build_precorrelation(GameSpace(dim - 1, mode=mode))
+            pc = build_operators(GameSpace(dim - 1, mode=mode)).precorrelation
             assert np.max(np.abs(pc.real)) <= 1e-14
 
 
@@ -240,9 +238,9 @@ def test_builders_return_the_operator_set_fields():
         gs = GameSpace(7, mode=mode, kappa1=0.7, kappa2=2.3)
         ops = build_operators(gs)
         np.testing.assert_array_equal(build_ladder(gs)[0], ops.a_plus)
-        np.testing.assert_array_equal(build_number(gs), ops.number)
-        np.testing.assert_array_equal(build_payoffs(gs)[1], ops.pi2)
-        np.testing.assert_array_equal(build_precorrelation(gs), ops.precorrelation)
+        np.testing.assert_array_equal(build_operators(gs).number, ops.number)
+        np.testing.assert_array_equal(build_operators(gs).pi2, ops.pi2)
+        np.testing.assert_array_equal(build_operators(gs).precorrelation, ops.precorrelation)
 
 
 def test_kappa_overflow_is_input_error_naming_both_kappas():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quantumtoss import numerics as nx
 from quantumtoss.errors import InputError
-from quantumtoss.gamespace import GameSpace, build_ladder, build_number, build_payoffs
+from quantumtoss.gamespace import GameSpace, build_ladder, build_operators
 
 from oracles import eigenvalues_oracle, eigenvector_oracle
 
@@ -18,27 +18,6 @@ def random_hermitian(seed, dim):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
-
-
-def test_multiply_identity():
-    eye = np.eye(2, dtype=complex)
-    np.testing.assert_array_equal(nx.multiply(eye, eye), eye)
-
-
-def test_multiply_rank_one_ladder():
-    up = np.array([[0, 1], [0, 0]], dtype=complex)
-    down = np.array([[0, 0], [1, 0]], dtype=complex)
-    np.testing.assert_array_equal(nx.multiply(up, down), np.diag([1.0, 0.0]))
-
-
-def test_multiply_raise_times_lower_is_round_counter():
-    a_plus, a_minus = build_ladder(GameSpace(2))
-    np.testing.assert_allclose(nx.multiply(a_plus, a_minus), np.diag([0.0, 1.0, 2.0]), atol=1e-15)
-
-
-def test_multiply_dimension_mismatch():
-    with pytest.raises(InputError):
-        nx.multiply(np.eye(2), np.eye(3))
 
 
 def test_adjoint_conjugate_transpose():
@@ -77,12 +56,12 @@ def test_expectation_ground_state_round_count():
     gs = GameSpace(3)
     state = np.zeros(4, dtype=complex)
     state[0] = 1.0
-    assert nx.expectation(state, build_number(gs)) == 0
+    assert nx.expectation(state, build_operators(gs).number) == 0
 
 
 def test_expectation_payoff_vanishes_in_round_states():
     gs = GameSpace(4)
-    pi1, _ = build_payoffs(gs)
+    pi1 = build_operators(gs).pi1
     for n in range(5):
         state = np.zeros(5, dtype=complex)
         state[n] = 1.0
@@ -91,7 +70,7 @@ def test_expectation_payoff_vanishes_in_round_states():
 
 def test_expectation_ground_state_payoff_square():
     gs = GameSpace(4)
-    pi1, _ = build_payoffs(gs)
+    pi1 = build_operators(gs).pi1
     state = np.zeros(5, dtype=complex)
     state[0] = 1.0
     value = nx.expectation(state, pi1 @ pi1)
@@ -110,9 +89,8 @@ def test_hermitian_eigen_diagonal():
 
 
 def test_hermitian_eigen_precorrelation_dim3():
-    from quantumtoss.gamespace import build_precorrelation
 
-    pc = build_precorrelation(GameSpace(2))
+    pc = build_operators(GameSpace(2)).precorrelation
     dec = nx.hermitian_eigen(pc)
     np.testing.assert_allclose(dec.eigenvalues, [-SQRT_HALF, 0.0, SQRT_HALF], atol=1e-12)
 
@@ -237,9 +215,8 @@ def test_degenerate_spectrum_still_orthonormal():
 def test_hermitian_eigen_precorrelation_matches_eigvalsh(rounds, mode):
     # eigvalsh is a test oracle only; the rounds cover the N at which the
     # former sweep order nearly stalled and both parities of the dimension
-    from quantumtoss.gamespace import build_precorrelation
 
-    pc = build_precorrelation(GameSpace(rounds, mode=mode))
+    pc = build_operators(GameSpace(rounds, mode=mode)).precorrelation
     dec = nx.hermitian_eigen(pc)
     np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(pc), atol=1e-9)
     assert 1 <= dec.sweeps <= 12
@@ -268,10 +245,9 @@ def test_hermitian_eigen_extreme_scales_match_eigvalsh(scale):
     # squares of entries near 1e160 overflow and near 1e-170 underflow;
     # the solver sweeps and validates on an exactly rescaled copy.  The last
     # input overflows if folded as m + m^H before that rescaling.
-    from quantumtoss.gamespace import build_precorrelation
 
     near_max = np.array([[1e308, 1e307], [1e307, -1e308]])
-    pc = build_precorrelation(GameSpace(3))
+    pc = build_operators(GameSpace(3)).precorrelation
     for m in (scale * pc, scale * random_hermitian(11, 7), near_max):
         dec = nx.hermitian_eigen(m)
         ref = np.linalg.eigvalsh(m)

@@ -530,6 +530,22 @@ def test_negative_exponent_value_after_a_flag(capsys, argv, flag, value):
     assert run(capsys, *argv, flag, value) == joined
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("corr-eigen", "--samples", "3"), "--lambda", "-inf"),
+        (("density", "--n", "3"), "--xi-min", "-inf"),
+        (("density", "--n", "3"), "--xi-max", "-Infinity"),
+        (("classical", "--n", "2", "--samples", "3"), "--xi-min", "-NaN"),
+    ],
+)
+def test_negative_non_finite_value_after_a_flag(capsys, argv, flag, value):
+    # rejected for its value, not read as an option that leaves the flag empty
+    joined = run(capsys, *argv, f"{flag}={value}")
+    assert joined[0] == 2 and "expected one argument" not in joined[2], joined[2]
+    assert run(capsys, *argv, flag, value) == joined
+
+
 @pytest.mark.parametrize("command", ["density", "classical"])
 def test_huge_grid_prints_zeros_without_warnings(capsys, command):
     code, out, err = run(
