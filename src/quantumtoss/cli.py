@@ -20,11 +20,8 @@ numerical failure or I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
-
-import numpy as np
 
 from . import reports
 from .correlation import correlation_spectrum
@@ -42,6 +39,7 @@ from .roundwaves import (
     density_grid,
     density_peaks,
     divergence_scan,
+    uniform_grid,
 )
 from .svgplot import MarkerGroup, Series, render_svg
 
@@ -242,9 +240,7 @@ def _cmd_sweep(args):
 
 def _cmd_variance(args):
     gs = GameSpace(args.rounds, "finite", args.kappa1, args.kappa2)
-    pv = payoff_variance(gs, args.n, args.player)
-    kappa = args.kappa1 if args.player == 1 else args.kappa2
-    _emit(args, reports.variance_rows(args.rounds, args.n, args.player, kappa, pv))
+    _emit(args, reports.one_row(vars(payoff_variance(gs, args.n, args.player))))
 
 
 def _cmd_density(args):
@@ -262,15 +258,8 @@ def _cmd_peaks(args):
     _emit(args, reports.peaks_rows(density_peaks(args.n)))
 
 
-def _grid(args) -> np.ndarray:
-    # a range whose width overflows would fill the grid with inf and nan
-    if not math.isfinite(args.xi_max - args.xi_min) or args.xi_min >= args.xi_max:
-        raise InputError(f"invalid range [{args.xi_min}, {args.xi_max}]")
-    return np.linspace(args.xi_min, args.xi_max, args.samples)
-
-
 def _cmd_classical(args):
-    xi = _grid(args)
+    xi = uniform_grid(args.xi_min, args.xi_max, args.samples)
     density = classical_mixture_density(args.n, xi)
     figure = None
     if args.svg is not None:
@@ -300,17 +289,17 @@ def _cmd_compare(args):
                 MarkerGroup("classical centers", tuple(float(x) for x in rep.classical_centers)),
             ],
         )
-    _emit(args, reports.compare_rows(rep), figure=figure)
+    _emit(args, reports.one_row(vars(rep)), figure=figure)
 
 
 def _cmd_corr_eigen(args):
-    xi = _grid(args)
+    xi = uniform_grid(args.xi_min, args.xi_max, args.samples)
     values = correlation_eigenfunction(args.lam, args.ordering, xi)
     _emit(args, reports.correigen_rows(xi, values))
 
 
 def _cmd_diverge(args):
-    _emit(args, reports.diverge_rows(divergence_scan(args.kind, args.cutoffs)))
+    _emit(args, reports.one_row(vars(divergence_scan(args.kind, args.cutoffs))))
 
 
 _COMMANDS = {

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import InputError, StructureError
 from .gamespace import GameSpace, build_operators
 from .numerics import (
-    EIGEN_DIM_MAX,
     STATE_NORM_TOL,
     as_matrix,
     as_state,
@@ -86,7 +85,7 @@ def classify_signs(eigenvalues) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationRow:
-    """One pre-correlation eigenstate and its pay-off statistics."""
+    """One pre-correlation eigenstate and its pay-off statistics: a ``spectrum`` row."""
 
     index: int
     eigenvalue: float
@@ -136,16 +135,10 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
     Finite mode diagonalizes the parity blocks separately (eigenstates come
     out parity-pure, pay-off expectations vanish); periodic mode
     diagonalizes the full matrix and labels rows "mixed".  Raises
-    InputError before any operator is built if the dimension exceeds
-    EIGEN_DIM_MAX, and InputError if the kappa scaling overflows a
-    statistic.
+    InputError if the kappa scaling overflows a statistic (GameSpace itself
+    caps the dimension at EIGEN_DIM_MAX).
     """
     dim = gs.dim
-    if dim > EIGEN_DIM_MAX:
-        raise InputError(
-            f"rounds {gs.rounds_max} gives dimension {dim}, above the eigensolver "
-            f"ceiling {EIGEN_DIM_MAX}"
-        )
     ops = build_operators(GameSpace(gs.rounds_max, gs.mode))
     pc = ops.precorrelation
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numerics import adjoint, commutator, expectation
+from .numerics import EIGEN_DIM_MAX, adjoint, commutator, expectation
 
 MODES = ("finite", "periodic")
 
@@ -25,8 +25,9 @@ class GameSpace:
     """Game configuration: maximum round index, boundary mode, pay-off units.
 
     ``rounds_max`` is the largest round index N, so the state space has
-    dimension N + 1.  ``kappa1``/``kappa2`` are the currency-per-round scales
-    of the two players.  Periodic mode needs at least two round states.
+    dimension N + 1, at most EIGEN_DIM_MAX: every consumer builds dense
+    (N + 1)^2 operators.  ``kappa1``/``kappa2`` are the currency-per-round
+    scales of the two players.  Periodic mode needs at least two round states.
     """
 
     rounds_max: int
@@ -41,6 +42,11 @@ class GameSpace:
             raise InputError("rounds_max must be an integer")
         if self.rounds_max < 0:
             raise InputError("rounds_max must be non-negative")
+        if self.dim > EIGEN_DIM_MAX:
+            raise InputError(
+                f"rounds {self.rounds_max} gives dimension {self.dim}, "
+                f"above the ceiling {EIGEN_DIM_MAX}"
+            )
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "periodic" and self.rounds_max < 1:
@@ -216,8 +222,12 @@ def audit_commutators(gs: GameSpace) -> CommutatorAudit:
 
 @dataclass(frozen=True)
 class PayoffVariance:
-    """<n| pi_j^2 |n> together with whether |n> is an interior state."""
+    """<n| pi_j^2 |n> with its inputs and whether |n> is interior: the ``variance`` row."""
 
+    rounds: int
+    n: int
+    player: int
+    kappa: float
     value: float
     interior: bool
 
@@ -241,7 +251,9 @@ def payoff_variance(gs: GameSpace, n: int, player: int) -> PayoffVariance:
     if not math.isfinite(value):
         raise InputError(f"kappa{player} = {kappa:.3e} overflows the mean-squared pay-off")
     interior = n < gs.rounds_max and (n >= 1 or gs.mode == "finite")
-    return PayoffVariance(value=float(value), interior=interior)
+    return PayoffVariance(
+        rounds=gs.rounds_max, n=n, player=player, kappa=kappa, value=float(value), interior=interior
+    )
 
 
 def number_state(gs: GameSpace, n: int) -> np.ndarray:

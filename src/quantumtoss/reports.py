@@ -4,8 +4,11 @@ Every subcommand's output is a table of equal-length columns, keyed by
 column name in output order: a float64 numpy array, formatted a whole
 column at a time, or a list of plain Python values (float/int/bool/str/
 None or lists of floats), formatted field by field.  The table's keys are
-both the CSV header and the JSON row keys, so the ``*_rows`` builders are
-the one place that names and orders a table's columns.  CSV renders floats
+both the CSV header and the JSON row keys, and each column is named in one
+place: a table of result objects takes its columns from the fields of the
+result class, in field order (``spectrum_rows``, and ``one_row`` of a
+``ComparisonReport``, ``DivergenceReport`` or ``PayoffVariance``); a table
+of derived columns is named by its ``*_rows`` builder.  CSV renders floats
 with 17 significant digits ('.' decimal separator, '\\n' line endings,
 RFC-4180-style quoting); JSON keeps native doubles so a re-parse reproduces
 the report exactly, in the layout of ``json.dumps(payload, indent=2)``.
@@ -13,13 +16,14 @@ the report exactly, in the layout of ``json.dumps(payload, indent=2)``.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from .correlation import CorrelationReport
-from .gamespace import CommutatorAudit, OperatorSet, PayoffVariance
-from .roundwaves import ComparisonReport, DensityGrid, DivergenceReport, PeakSet
+from .correlation import CorrelationReport, CorrelationRow
+from .gamespace import CommutatorAudit, OperatorSet
+from .roundwaves import DensityGrid, PeakSet
 
 
 def format_field(value) -> str:
@@ -153,8 +157,8 @@ def matrix_json(m: np.ndarray) -> dict:
 OPERATOR_ORDER = ("a_plus", "a_minus", "number", "pi1", "pi2", "precorrelation")
 
 
-def _one_row(row: dict) -> dict:
-    """The table of a single row."""
+def one_row(row: dict) -> dict:
+    """The table of a single row, e.g. ``one_row(vars(result))``."""
     return {name: [value] for name, value in row.items()}
 
 
@@ -208,33 +212,18 @@ def audit_detail(audit: CommutatorAudit) -> dict:
     }
 
 
-_SPECTRUM_COLUMNS = (
-    "index", "eigenvalue", "parity", "exp_pi1", "exp_pi2",
-    "sigma1", "sigma2", "correlation", "pearson", "sign_class",
-)
-_SPECTRUM_PLAIN = ("index", "parity", "pearson", "sign_class")  # not float columns
-
-
 def spectrum_rows(report: CorrelationReport, rounds: int | None = None) -> dict:
+    """A row per eigenstate, a column per CorrelationRow field but ``vector``.
+
+    Each field declared ``float`` is a float64 array, in every block of a sweep alike.
+    """
     rows = report.rows
     table = {} if rounds is None else {"rounds": [rounds] * len(rows)}
-    for name in _SPECTRUM_COLUMNS:
-        values = [getattr(r, name) for r in rows]
-        table[name] = values if name in _SPECTRUM_PLAIN else np.array(values, dtype=float)
+    for f in fields(CorrelationRow):
+        if f.name != "vector":
+            values = [getattr(r, f.name) for r in rows]
+            table[f.name] = np.array(values, dtype=float) if f.type in (float, "float") else values
     return table
-
-
-def variance_rows(rounds: int, n: int, player: int, kappa: float, pv: PayoffVariance) -> dict:
-    return _one_row(
-        {
-            "rounds": rounds,
-            "n": n,
-            "player": player,
-            "kappa": kappa,
-            "value": pv.value,
-            "interior": pv.interior,
-        }
-    )
 
 
 def density_rows(grid: DensityGrid) -> dict:
@@ -246,7 +235,7 @@ def density_rows(grid: DensityGrid) -> dict:
 
 
 def peaks_rows(ps: PeakSet) -> dict:
-    return _one_row(
+    return one_row(
         {
             "n": ps.n,
             "maxima": [float(x) for x in ps.maxima],
@@ -259,23 +248,6 @@ def classical_rows(xi: np.ndarray, density: np.ndarray) -> dict:
     return {"xi": np.asarray(xi, dtype=float), "density": np.asarray(density, dtype=float)}
 
 
-def compare_rows(rep: ComparisonReport) -> dict:
-    return _one_row(
-        {
-            "n": rep.n,
-            "quantum_peaks": [float(x) for x in rep.quantum_peaks],
-            "classical_centers": [float(x) for x in rep.classical_centers],
-            "quantum_center_density": rep.quantum_center_density,
-            "classical_center_density": rep.classical_center_density,
-            "quantum_minimum_deeper": rep.quantum_minimum_deeper,
-            "quantum_variance": rep.quantum_variance,
-            "classical_variance": rep.classical_variance,
-            "outermost_quantum_peak": rep.outermost_quantum_peak,
-            "outermost_classical_center": rep.outermost_classical_center,
-        }
-    )
-
-
 def correigen_rows(xi: np.ndarray, values: np.ndarray) -> dict:
     values = np.asarray(values, dtype=complex)
     return {
@@ -286,16 +258,3 @@ def correigen_rows(xi: np.ndarray, values: np.ndarray) -> dict:
         # samples; hypot of the parts matches it exactly
         "abs": np.hypot(values.real, values.imag),
     }
-
-
-def diverge_rows(rep: DivergenceReport) -> dict:
-    return _one_row(
-        {
-            "kind": rep.kind,
-            "classification": rep.classification,
-            "linear_residual": rep.linear_residual,
-            "log_residual": rep.log_residual,
-            "cutoffs": [float(x) for x in rep.cutoffs],
-            "integrals": [float(x) for x in rep.integrals],
-        }
-    )

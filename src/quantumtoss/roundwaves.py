@@ -108,16 +108,22 @@ class DensityGrid:
     density: np.ndarray
 
 
-def density_grid(n: int, xi_min: float, xi_max: float, samples: int) -> DensityGrid:
-    """Uniformly sampled psi_n and P_n = psi_n^2 on [xi_min, xi_max]."""
-    _check_round(n, HERMITE_N_MAX)
+def uniform_grid(xi_min: float, xi_max: float, samples: int) -> np.ndarray:
+    """``samples`` >= 2 equally spaced points from xi_min to xi_max, both included."""
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise InputError("samples must be an integer")
     if samples < 2:
-        raise InputError("need at least 2 samples")
+        raise InputError(f"need at least 2 samples, got {samples}")
+    # a range whose width overflows would fill the grid with inf and nan
     if not math.isfinite(float(xi_max) - float(xi_min)) or xi_min >= xi_max:
         raise InputError(f"invalid range [{xi_min}, {xi_max}]")
-    xi = np.linspace(xi_min, xi_max, int(samples))
+    return np.linspace(xi_min, xi_max, int(samples))
+
+
+def density_grid(n: int, xi_min: float, xi_max: float, samples: int) -> DensityGrid:
+    """Uniformly sampled psi_n and P_n = psi_n^2 on [xi_min, xi_max]."""
+    _check_round(n, HERMITE_N_MAX)
+    xi = uniform_grid(xi_min, xi_max, samples)
     wave = psi(n, xi)
     return DensityGrid(n=int(n), xi=xi, psi=wave, density=wave * wave)
 
@@ -242,7 +248,7 @@ def classical_mixture_density(n: int, grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Quantum round density versus the classical walk after n rounds."""
+    """Quantum round density against the classical walk after n rounds: the ``compare`` row."""
 
     n: int
     quantum_peaks: np.ndarray
@@ -343,14 +349,14 @@ def eigenfunction_residual(lam: float, ordering: str, grid) -> float:
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Cut-off scan of a non-normalizable state's norm integral."""
+    """Cut-off scan of a non-normalizable state's norm integral: the ``diverge`` row."""
 
     kind: str
-    cutoffs: np.ndarray
-    integrals: np.ndarray
+    classification: str
     linear_residual: float
     log_residual: float
-    classification: str
+    cutoffs: np.ndarray
+    integrals: np.ndarray
 
 
 def _fit_relative_residual(x: np.ndarray, y: np.ndarray) -> float:
@@ -420,9 +426,9 @@ def divergence_scan(kind: str, cutoffs) -> DivergenceReport:
     classification = "linear" if linear_residual <= log_residual else "logarithmic"
     return DivergenceReport(
         kind=kind,
-        cutoffs=cuts,
-        integrals=integrals,
+        classification=classification,
         linear_residual=linear_residual,
         log_residual=log_residual,
-        classification=classification,
+        cutoffs=cuts,
+        integrals=integrals,
     )

@@ -237,10 +237,15 @@ def test_builders_return_the_operator_set_fields():
     for mode in ("finite", "periodic"):
         gs = GameSpace(7, mode=mode, kappa1=0.7, kappa2=2.3)
         ops = build_operators(gs)
-        np.testing.assert_array_equal(build_ladder(gs)[0], ops.a_plus)
-        np.testing.assert_array_equal(build_operators(gs).number, ops.number)
-        np.testing.assert_array_equal(build_operators(gs).pi2, ops.pi2)
-        np.testing.assert_array_equal(build_operators(gs).precorrelation, ops.precorrelation)
+        a_plus, a_minus = build_ladder(gs)
+        np.testing.assert_array_equal(a_plus, ops.a_plus)
+        np.testing.assert_array_equal(a_minus, ops.a_minus)
+        np.testing.assert_array_equal(a_plus @ a_minus, ops.number)
+        pi1 = 0.7 * (a_plus + a_minus) / math.sqrt(2.0)
+        pi2 = -1j * 2.3 * (a_plus - a_minus) / math.sqrt(2.0)
+        np.testing.assert_array_equal(pi1, ops.pi1)
+        np.testing.assert_array_equal(pi2, ops.pi2)
+        np.testing.assert_array_equal(0.5 * (pi1 @ pi2 + pi2 @ pi1), ops.precorrelation)
 
 
 def test_kappa_overflow_is_input_error_naming_both_kappas():

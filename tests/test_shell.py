@@ -398,7 +398,11 @@ def test_compare_row_and_markers(tmp_path, capsys):
     code, out, _ = run(capsys, "compare", "--n", "2", "--svg", str(svg_path))
     assert code == 0
     header, rows = parse_csv(out)
-    assert header[0] == "n"
+    assert header == [
+        "n", "quantum_peaks", "classical_centers", "quantum_center_density",
+        "classical_center_density", "quantum_minimum_deeper", "quantum_variance",
+        "classical_variance", "outermost_quantum_peak", "outermost_classical_center",
+    ]
     quantum_peaks = [float(tok) for tok in rows[0][1].split(",")]
     np.testing.assert_allclose(
         quantum_peaks, [-math.sqrt(2.5), 0.0, math.sqrt(2.5)], atol=1e-9
@@ -427,7 +431,9 @@ def test_diverge_row(capsys):
     )
     assert code == 0
     header, rows = parse_csv(out)
-    assert header[0] == "kind"
+    assert header == [
+        "kind", "classification", "linear_residual", "log_residual", "cutoffs", "integrals",
+    ]
     assert rows[0][0] == "plane"
     assert rows[0][1] == "linear"
     integrals = [float(tok) for tok in rows[0][5].split(",")]
@@ -514,6 +520,9 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "variance", "--rounds", "3", "--n", "7", "--player", "1")[0] == 2
     assert run(capsys, "compare", "--n", "0")[0] == 2
     assert run(capsys, "peaks", "--n", "500")[0] == 2
+    for argv in (("classical", "--n", "1"), ("corr-eigen", "--lambda", "1")):
+        code, out, err = run(capsys, *argv, "--samples", "1")
+        assert code == 2 and out == "" and "need at least 2 samples, got 1" in err
 
 
 @pytest.mark.parametrize(
@@ -627,6 +636,9 @@ def test_rounds_ceilings_exit_2(capsys):
         )
         assert code == 2 and str(SWEEP_ROUNDS_MAX) in err
     assert run(capsys, "sweep", "--rounds-max", "600")[0] == 2
+    for argv in (("operators",), ("audit",), ("variance", "--n", "0", "--player", "1")):
+        code, out, err = run(capsys, *argv, "--rounds", too_many)
+        assert code == 2 and out == "" and str(EIGEN_DIM_MAX) in err
 
 
 def test_help_exits_zero(capsys):
