@@ -32,6 +32,7 @@ from .gamespace import (
     build_operators,
     payoff_variance,
 )
+from .numerics import as_int
 from .roundwaves import (
     classical_mixture_density,
     compare_quantum_classical,
@@ -52,37 +53,6 @@ SWEEP_ROUNDS_MAX = 128
 _NEGATIVE_NUMBER = re.compile(r"(?i)^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$")
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
-    return value
-
-
-def _pos_int(text: str) -> int:
-    value = _nonneg_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
-    return value
-
-
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-
-
-def _pos_float(text: str) -> float:
-    value = _float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
-    return value
-
-
 def _cutoff_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(","))
@@ -92,8 +62,8 @@ def _cutoff_list(text: str) -> tuple[float, ...]:
 
 def _add_game_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=("finite", "periodic"), default="finite")
-    sub.add_argument("--kappa1", type=_pos_float, default=1.0)
-    sub.add_argument("--kappa2", type=_pos_float, default=1.0)
+    sub.add_argument("--kappa1", type=float, default=1.0)
+    sub.add_argument("--kappa2", type=float, default=1.0)
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
@@ -102,9 +72,9 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser, xi_min: float = -8.0) -> None:
-    sub.add_argument("--xi-min", dest="xi_min", type=_float, default=xi_min)
-    sub.add_argument("--xi-max", dest="xi_max", type=_float, default=8.0)
-    sub.add_argument("--samples", type=_pos_int, default=1601)
+    sub.add_argument("--xi-min", dest="xi_min", type=float, default=xi_min)
+    sub.add_argument("--xi-max", dest="xi_max", type=float, default=8.0)
+    sub.add_argument("--samples", type=int, default=1601)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,51 +85,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("operators", help="dump all game operators (plus the audit in JSON)")
-    p.add_argument("--rounds", type=_nonneg_int, required=True)
+    p.add_argument("--rounds", type=int, required=True)
     _add_game_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("audit", help="commutator patterns, deviations and the |0>-sector value")
-    p.add_argument("--rounds", type=_nonneg_int, required=True)
+    p.add_argument("--rounds", type=int, required=True)
     _add_game_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("spectrum", help="pre-correlation spectrum with per-eigenstate statistics")
-    p.add_argument("--rounds", type=_nonneg_int, required=True)
+    p.add_argument("--rounds", type=int, required=True)
     _add_game_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("sweep", help="spectra for every round count up to --rounds-max")
-    p.add_argument("--rounds-max", dest="rounds_max", type=_pos_int, required=True)
+    p.add_argument("--rounds-max", dest="rounds_max", type=int, required=True)
     _add_game_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("variance", help="mean-squared pay-off of one player in a round state")
-    p.add_argument("--rounds", type=_nonneg_int, required=True)
-    p.add_argument("--n", type=_nonneg_int, required=True)
+    p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--player", type=int, choices=(1, 2), required=True)
-    p.add_argument("--kappa1", type=_pos_float, default=1.0)
-    p.add_argument("--kappa2", type=_pos_float, default=1.0)
+    p.add_argument("--kappa1", type=float, default=1.0)
+    p.add_argument("--kappa2", type=float, default=1.0)
 
     p = sub.add_parser("density", help="round wavefunction and density on a grid")
-    p.add_argument("--n", type=_nonneg_int, required=True)
+    p.add_argument("--n", type=int, required=True)
     _add_grid_flags(p)
     p.add_argument("--svg", default=None)
 
     p = sub.add_parser("peaks", help="density maxima of one round state")
-    p.add_argument("--n", type=_nonneg_int, required=True)
+    p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("classical", help="classical random-walk density on a grid")
-    p.add_argument("--n", type=_nonneg_int, required=True)
+    p.add_argument("--n", type=int, required=True)
     _add_grid_flags(p)
     p.add_argument("--svg", default=None)
 
     p = sub.add_parser("compare", help="quantum density versus the classical walk")
-    p.add_argument("--n", type=_pos_int, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--svg", default=None)
 
     p = sub.add_parser("corr-eigen", help="correlation eigenfunction on a positive grid")
-    p.add_argument("--lambda", dest="lam", type=_float, required=True)
+    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--ordering", choices=("printed", "weyl"), default="weyl")
     _add_grid_flags(p, xi_min=0.01)
 
@@ -227,10 +197,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_sweep(args):
-    if args.rounds_max > SWEEP_ROUNDS_MAX:
-        raise InputError(
-            f"--rounds-max {args.rounds_max} exceeds the sweep ceiling {SWEEP_ROUNDS_MAX}"
-        )
+    as_int(args.rounds_max, "--rounds-max", 1, SWEEP_ROUNDS_MAX)
     tables = []
     for rounds in range(1, args.rounds_max + 1):
         gs = GameSpace(rounds, args.mode, args.kappa1, args.kappa2)

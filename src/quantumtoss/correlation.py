@@ -9,6 +9,7 @@ diagonalized whole and labelled "mixed".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,9 +136,16 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
     Finite mode diagonalizes the parity blocks separately (eigenstates come
     out parity-pure, pay-off expectations vanish); periodic mode
     diagonalizes the full matrix and labels rows "mixed".  Raises
-    InputError if the kappa scaling overflows a statistic (GameSpace itself
-    caps the dimension at EIGEN_DIM_MAX).
+    InputError up front if kappa1 kappa2 overflows, and after the
+    diagonalization if the kappa scaling overflows a statistic (GameSpace
+    itself caps the dimension at EIGEN_DIM_MAX).
     """
+    k1, k2 = gs.kappa1, gs.kappa2
+    # an inf product would scale every eigenvalue to +-inf or nan, so reject
+    # it before any work (at rounds 0 and 1 PC is zero and inf * 0 warns);
+    # Python floats overflow to inf without a numpy warning
+    if math.isinf(float(k1) * float(k2)):
+        raise InputError(f"kappa1 = {k1:.3e}, kappa2 = {k2:.3e} overflow their product")
     dim = gs.dim
     ops = build_operators(GameSpace(gs.rounds_max, gs.mode))
     pc = ops.precorrelation
@@ -179,7 +187,6 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
     sigma2 = np.sqrt(np.maximum(np.sum(np.abs(pi2_vecs) ** 2, axis=0) - e2 * e2, 0.0))
     corr = _column_means(vecs, pc @ vecs) - e1 * e2
 
-    k1, k2 = gs.kappa1, gs.kappa2
     with np.errstate(over="ignore"):  # an overflow is reported just below
         scaled = np.array([k1 * k2 * lam, k1 * e1, k2 * e2, k1 * sigma1, k2 * sigma2, k1 * k2 * corr])
     if not np.all(np.isfinite(scaled)):

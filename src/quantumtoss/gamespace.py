@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numerics import EIGEN_DIM_MAX, adjoint, commutator, expectation
+from .numerics import EIGEN_DIM_MAX, adjoint, as_int, commutator, expectation
 
 MODES = ("finite", "periodic")
 
@@ -36,12 +36,7 @@ class GameSpace:
     kappa2: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.rounds_max, bool) or not isinstance(
-            self.rounds_max, (int, np.integer)
-        ):
-            raise InputError("rounds_max must be an integer")
-        if self.rounds_max < 0:
-            raise InputError("rounds_max must be non-negative")
+        as_int(self.rounds_max, "rounds", 0)
         if self.dim > EIGEN_DIM_MAX:
             raise InputError(
                 f"rounds {self.rounds_max} gives dimension {self.dim}, "
@@ -53,7 +48,7 @@ class GameSpace:
             raise InputError("periodic mode is degenerate with a single state")
         for name, value in (("kappa1", self.kappa1), ("kappa2", self.kappa2)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise InputError(f"{name} must be a positive finite number")
+                raise InputError(f"{name} must be a positive finite number, got {value!r}")
 
     @property
     def dim(self) -> int:
@@ -258,10 +253,7 @@ def payoff_variance(gs: GameSpace, n: int, player: int) -> PayoffVariance:
 
 def number_state(gs: GameSpace, n: int) -> np.ndarray:
     """Round-number basis vector e_n."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InputError("round index must be an integer")
-    if not 0 <= n <= gs.rounds_max:
-        raise InputError(f"round index {n} outside 0..{gs.rounds_max}")
+    as_int(n, "n", 0, gs.rounds_max)
     state = np.zeros(gs.dim, dtype=complex)
     state[n] = 1.0
     return state

@@ -1,7 +1,8 @@
 """Dense complex linear algebra on numpy arrays.
 
 Matrices are plain ``complex128`` numpy arrays; all functions treat their
-arguments as immutable and return fresh arrays.  Besides validation, the
+arguments as immutable and return fresh arrays.  Besides validation
+(``as_matrix``, ``as_state`` and the integer range check ``as_int``), the
 adjoint, norms and expectation values, the module has an error-free (Dekker)
 commutator and a self-contained Hermitian eigensolver (complex Jacobi sweeps
 in a fixed round-robin ordering, each step a batch of disjoint rotations), so
@@ -23,6 +24,15 @@ EIGEN_DIM_MAX = 512
 STATE_NORM_TOL = 1e-12
 
 _MAX_SWEEPS = 60
+
+
+def as_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """Validate ``value`` as an integer in lo..hi (no upper bound if hi is None)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < lo or (hi is not None and value > hi):
+        allowed = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise InputError(f"{name} must be an integer {allowed}, got {value!r}")
+    return int(value)
 
 
 def as_matrix(m) -> np.ndarray:

@@ -224,6 +224,19 @@ def test_spectrum_rejects_rounds_above_eigen_ceiling_before_building(monkeypatch
             correlation_spectrum(GameSpace(600, mode=mode))
 
 
+def test_spectrum_rejects_infinite_kappa_product_before_building(monkeypatch):
+    import quantumtoss.correlation as corr_mod
+
+    def forbidden(gs):
+        raise AssertionError("operators built before the kappa check")
+
+    monkeypatch.setattr(corr_mod, "build_operators", forbidden)
+    # at rounds 0 and 1 PC is zero, and inf * 0 would warn before any late check
+    for rounds in (0, 1, 511):
+        with pytest.raises(InputError, match=r"kappa1 = 1\.000e\+300, kappa2 = 1\.000e\+300"):
+            correlation_spectrum(GameSpace(rounds, kappa1=1e300, kappa2=1e300))
+
+
 def test_spectrum_huge_kappa_stays_finite():
     base = correlation_spectrum(GameSpace(3))
     report = correlation_spectrum(GameSpace(3, kappa1=1e200))

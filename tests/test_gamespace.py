@@ -31,7 +31,11 @@ def test_gamespace_validation():
         GameSpace(2, kappa1=0.0)
     with pytest.raises(InputError):
         GameSpace(2, kappa2=-1.0)
+    for rounds in (True, 2.0):
+        with pytest.raises(InputError, match=f"got {rounds!r}"):
+            GameSpace(rounds)
     assert GameSpace(4).dim == 5
+    assert GameSpace(np.int64(3)).dim == 4
 
 
 def test_ladder_finite_entries():

@@ -141,6 +141,17 @@ def test_input_validation_rejects_nan():
         nx.as_state(np.array([np.inf, 0.0]))
 
 
+def test_as_int_names_value_and_range():
+    assert nx.as_int(np.int64(7), "n", 0, 7) == 7 and type(nx.as_int(np.int64(7), "n", 0)) is int
+    with pytest.raises(InputError, match=r"^n must be an integer in 0\.\.7, got 8$"):
+        nx.as_int(8, "n", 0, 7)
+    with pytest.raises(InputError, match=r"^rounds must be an integer >= 0, got -1$"):
+        nx.as_int(-1, "rounds", 0)
+    for value in (True, 2.0, "2", None):
+        with pytest.raises(InputError, match=f"got {value!r}"):
+            nx.as_int(value, "n", 0, 7)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10**6), dim=st.integers(1, 8))
 def test_commutator_antisymmetry(seed, dim):

@@ -522,7 +522,47 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "peaks", "--n", "500")[0] == 2
     for argv in (("classical", "--n", "1"), ("corr-eigen", "--lambda", "1")):
         code, out, err = run(capsys, *argv, "--samples", "1")
-        assert code == 2 and out == "" and "need at least 2 samples, got 1" in err
+        assert code == 2 and out == "" and "samples must be an integer in 2..1000000, got 1" in err
+    for argv in (("density", "--n", "1"), ("classical", "--n", "1"), ("corr-eigen", "--lambda", "1")):
+        for samples in ("1000001", "1000000000000"):
+            code, out, err = run(capsys, *argv, "--samples", samples)
+            assert code == 2 and out == "" and "1000000" in err
+
+
+# the command line only parses these values; the library call each one
+# reaches rejects it, naming the value
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("operators",), "--rounds", "-1"),
+        (("audit",), "--rounds", "-1"),
+        (("spectrum",), "--rounds", "-1"),
+        (("variance", "--n", "0", "--player", "1"), "--rounds", "-1"),
+        (("sweep",), "--rounds-max", "0"),
+        (("sweep",), "--rounds-max", "-3"),
+        (("variance", "--rounds", "3", "--player", "1"), "--n", "-1"),
+        (("density",), "--n", "-1"),
+        (("peaks",), "--n", "-1"),
+        (("classical",), "--n", "-1"),
+        (("compare",), "--n", "0"),
+        (("density", "--n", "1"), "--samples", "0"),
+        (("classical", "--n", "1"), "--samples", "0"),
+        (("corr-eigen", "--lambda", "1"), "--samples", "0"),
+        *(
+            (argv, "--kappa1", value)
+            for argv in (
+                ("spectrum", "--rounds", "3"),
+                ("variance", "--rounds", "3", "--n", "0", "--player", "1"),
+            )
+            for value in ("0", "-1", "nan")
+        ),
+    ],
+)
+def test_library_rejects_each_value_once(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("quantumtoss: error: ")
+    assert flag.lstrip("-") in err and f"got {value}" in err, err
 
 
 @pytest.mark.parametrize(
@@ -600,6 +640,11 @@ def test_spectrum_kappa_product_overflow_exit_2(capsys):
     )
     assert code == 2
     assert "overflow" in err
+    # at rounds 1, the first round of every sweep, PC is zero and inf * 0 would warn
+    for argv in (("spectrum", "--rounds", "1"), ("sweep", "--rounds-max", "3")):
+        code, out, err = run(capsys, *argv, "--kappa1", "1e300", "--kappa2", "1e300")
+        assert code == 2 and out == ""
+        assert "overflow" in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("command", ["operators", "audit"])
