@@ -13,10 +13,9 @@ from .correlation import (
     CorrelationRow,
     correlation_spectrum,
     correlation_value,
-    parity_blocks,
     sign_classification,
 )
-from .errors import ConvergenceError, InputError, StructureError
+from .errors import ConvergenceError, InputError
 from .gamespace import (
     CommutatorAudit,
     GameSpace,

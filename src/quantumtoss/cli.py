@@ -25,8 +25,9 @@ import sys
 
 from . import reports
 from .correlation import correlation_spectrum
-from .errors import ConvergenceError, InputError, StructureError
+from .errors import ConvergenceError, InputError
 from .gamespace import (
+    MODES,
     GameSpace,
     audit_commutators,
     build_operators,
@@ -34,6 +35,8 @@ from .gamespace import (
 )
 from .numerics import as_int
 from .roundwaves import (
+    DIVERGENCE_KINDS,
+    ORDERINGS,
     classical_mixture_density,
     compare_quantum_classical,
     correlation_eigenfunction,
@@ -61,7 +64,7 @@ def _cutoff_list(text: str) -> tuple[float, ...]:
 
 
 def _add_game_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=("finite", "periodic"), default="finite")
+    sub.add_argument("--mode", choices=MODES, default="finite")
     sub.add_argument("--kappa1", type=float, default=1.0)
     sub.add_argument("--kappa2", type=float, default=1.0)
 
@@ -130,11 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corr-eigen", help="correlation eigenfunction on a positive grid")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--ordering", choices=("printed", "weyl"), default="weyl")
+    p.add_argument("--ordering", choices=ORDERINGS, default="weyl")
     _add_grid_flags(p, xi_min=0.01)
 
     p = sub.add_parser("diverge", help="classify the norm divergence of a continuum state")
-    p.add_argument("--kind", choices=("plane", "printed", "weyl"), required=True)
+    p.add_argument("--kind", choices=DIVERGENCE_KINDS, required=True)
     p.add_argument("--cutoffs", type=_cutoff_list, required=True)
 
     for p in sub.choices.values():
@@ -296,7 +299,7 @@ def run_cli(argv=None) -> int:
     except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, StructureError, OSError) as exc:
+    except (ConvergenceError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,11 @@
 """Spectrum of the symmetrized pay-off product and per-eigenstate statistics.
 
-In finite mode the pre-correlation matrix couples only round states two
-apart, so it splits into even and odd blocks; diagonalizing block-wise keeps
-every eigenstate parity-pure, which is what forces both pay-off expectations
-to vanish.  Periodic wrap couplings can break parity, so that mode is
-diagonalized whole and labelled "mixed".
+The pre-correlation matrix couples only round states two apart, plus the
+two periodic wrap entries (0, N-1) and (1, N), which cross parity only at
+even N.  Wherever no entry crosses parity the even and odd blocks are
+diagonalized apart, so every eigenstate is parity-pure, which is what forces
+both pay-off expectations to vanish.  Rows are labelled "even" or "odd" in
+finite mode and "mixed" throughout periodic mode.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, StructureError
+from .errors import ConvergenceError, InputError
 from .gamespace import GameSpace, build_operators
 from .numerics import (
     STATE_NORM_TOL,
@@ -26,38 +27,6 @@ from .numerics import (
 
 ZERO_BAND = 1e-10
 PEARSON_MIN_SPREAD = 1e-12
-_PATTERN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ParityBlocks:
-    """Even/odd-index blocks of a |m-n| in {0, 2} coupled matrix."""
-
-    even: np.ndarray
-    odd: np.ndarray
-    even_index: tuple[int, ...]
-    odd_index: tuple[int, ...]
-
-
-def parity_blocks(pc) -> ParityBlocks:
-    """Split a matrix coupling only |m-n| in {0, 2} into parity blocks.
-
-    Raises StructureError naming the first offending entry if any coupling
-    outside that pattern exceeds the structural tolerance.
-    """
-    pc = as_matrix(pc)
-    dim = pc.shape[0]
-    tol = _PATTERN_TOL * max(1.0, float(np.max(np.abs(pc))))
-    gap = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
-    offending = np.argwhere((gap != 0) & (gap != 2) & (np.abs(pc) > tol))
-    if offending.size:
-        m, n = (int(i) for i in offending[0])  # argwhere lists row-major
-        raise StructureError(f"unexpected coupling at entry ({m}, {n}): {pc[m, n]!r}")
-    even_index = tuple(range(0, dim, 2))
-    odd_index = tuple(range(1, dim, 2))
-    even = pc[np.ix_(even_index, even_index)].copy()
-    odd = pc[np.ix_(odd_index, odd_index)].copy()
-    return ParityBlocks(even=even, odd=odd, even_index=even_index, odd_index=odd_index)
 
 
 def correlation_value(state, pi1, pi2, pc) -> float:
@@ -133,40 +102,37 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
     spread below which they are withheld, and the sign classes (whose zero
     band is absolute) are taken at kappa = 1.
 
-    Finite mode diagonalizes the parity blocks separately (eigenstates come
-    out parity-pure, pay-off expectations vanish); periodic mode
-    diagonalizes the full matrix and labels rows "mixed".  Raises
+    If no entry of PC couples an even to an odd state (always in finite
+    mode, at odd N in periodic mode) the parity blocks are diagonalized
+    separately, else the full matrix; the mode only picks the row labels,
+    "even"/"odd" in finite mode and "mixed" in periodic mode.  Raises
     InputError up front if kappa1 kappa2 overflows, and after the
     diagonalization if the kappa scaling overflows a statistic (GameSpace
-    itself caps the dimension at EIGEN_DIM_MAX).
+    itself caps the dimension at EIGEN_DIM_MAX); ConvergenceError if an
+    eigenvector comes back unnormalized.
     """
     k1, k2 = gs.kappa1, gs.kappa2
     # an inf product would scale every eigenvalue to +-inf or nan, so reject
     # it before any work (at rounds 0 and 1 PC is zero and inf * 0 warns);
-    # Python floats overflow to inf without a numpy warning
-    if math.isinf(float(k1) * float(k2)):
+    # GameSpace stores Python floats, which overflow without a numpy warning
+    if math.isinf(k1 * k2):
         raise InputError(f"kappa1 = {k1:.3e}, kappa2 = {k2:.3e} overflow their product")
     dim = gs.dim
     ops = build_operators(GameSpace(gs.rounds_max, gs.mode))
     pc = ops.precorrelation
 
-    if gs.mode == "finite":
-        blocks = parity_blocks(pc)
-        parts = (
-            ("even", blocks.even, blocks.even_index),
-            ("odd", blocks.odd, blocks.odd_index),
-        )
-    else:
-        parts = (("mixed", pc, tuple(range(dim))),)
+    step = 1 if np.any(pc[0::2, 1::2]) else 2  # split by parity unless an entry crosses it
     values, labels, columns = [], [], []
-    for label, block, index in parts:
-        if block.shape[0] == 0:
+    for start in range(step):
+        index = np.arange(start, dim, step)
+        if index.size == 0:
             continue
-        dec = hermitian_eigen(block)
-        vecs = np.zeros((dim, block.shape[0]), dtype=complex)
-        vecs[list(index), :] = dec.vectors
+        dec = hermitian_eigen(pc[np.ix_(index, index)])
+        vecs = np.zeros((dim, index.size), dtype=complex)
+        vecs[index, :] = dec.vectors
         values.append(dec.eigenvalues)
-        labels.extend([label] * block.shape[0])
+        label = ("even", "odd")[start] if step == 2 and gs.mode == "finite" else "mixed"
+        labels.extend([label] * index.size)
         columns.append(vecs)
     lam = np.concatenate(values)
     order = np.argsort(lam, kind="stable")
@@ -177,7 +143,7 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
     norm_dev = np.abs(np.linalg.norm(vecs, axis=0) - 1.0)
     if np.max(norm_dev) > STATE_NORM_TOL:
         k = int(np.argmax(norm_dev))
-        raise InputError(f"eigenvector {k} is not normalized: |norm - 1| = {norm_dev[k]:.3e}")
+        raise ConvergenceError(f"eigenvector {k} is not normalized: |norm - 1| = {norm_dev[k]:.3e}")
     pi1_vecs = ops.pi1 @ vecs
     pi2_vecs = ops.pi2 @ vecs
     e1 = _column_means(vecs, pi1_vecs)

@@ -11,7 +11,3 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class StructureError(RuntimeError):
-    """A matrix violates the sparsity/coupling pattern the caller relies on."""

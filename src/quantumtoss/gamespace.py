@@ -10,6 +10,7 @@ product — is built from it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,9 @@ class GameSpace:
     ``rounds_max`` is the largest round index N, so the state space has
     dimension N + 1, at most EIGEN_DIM_MAX: every consumer builds dense
     (N + 1)^2 operators.  ``kappa1``/``kappa2`` are the currency-per-round
-    scales of the two players.  Periodic mode needs at least two round states.
+    scales of the two players: any real number except bool, positive and at
+    most the largest double, stored as a float.  Periodic mode needs at least
+    two round states.
     """
 
     rounds_max: int
@@ -46,9 +49,17 @@ class GameSpace:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "periodic" and self.rounds_max < 1:
             raise InputError("periodic mode is degenerate with a single state")
-        for name, value in (("kappa1", self.kappa1), ("kappa2", self.kappa2)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        for name in ("kappa1", "kappa2"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            try:
+                kappa = float(value) if real else math.nan
+            except OverflowError:  # an int or fraction beyond the largest double
+                kappa = math.inf
+            if not 0 < kappa < math.inf:
                 raise InputError(f"{name} must be a positive finite number, got {value!r}")
+            # stored as a Python float: numpy scalar products would wrap or overflow
+            object.__setattr__(self, name, kappa)
 
     @property
     def dim(self) -> int:

@@ -27,8 +27,11 @@ COMPARE_N_MAX = 50
 # largest grid of density, classical and corr-eigen: 10^6 samples took
 # 3.3-4.3 s and up to 503 MiB peak through the CLI on a 2-vCPU Linux VM
 SAMPLES_MAX = 1_000_000
-ORDERINGS = ("printed", "weyl")
-DIVERGENCE_KINDS = ("plane", "printed", "weyl")
+# each ordering's additive constant c in the first-order eigenvalue equation
+# i (xi d/dxi + c) psi = lam psi: "printed" keeps the whole unit, "weyl" the
+# symmetrized 1/2 consistent with the matrix-side product
+ORDERINGS = {"printed": 1.0, "weyl": 0.5}
+DIVERGENCE_KINDS = ("plane", *ORDERINGS)
 
 _QUAD_STEP = 1e-3
 
@@ -283,19 +286,6 @@ def compare_quantum_classical(n: int) -> ComparisonReport:
     )
 
 
-def _check_ordering(ordering: str):
-    if ordering not in ORDERINGS:
-        raise InputError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
-
-
-def _scaling_exponent(lam: float, ordering: str) -> complex:
-    # "printed" keeps the whole-unit additive constant of the first-order
-    # eigenvalue equation i (xi d/dxi + 1); "weyl" uses the symmetrized
-    # i (xi d/dxi + 1/2) consistent with the matrix-side product.
-    shift = 1.0 if ordering == "printed" else 0.5
-    return complex(-shift, -lam)
-
-
 def correlation_eigenfunction(lam: float, ordering: str, grid) -> np.ndarray:
     """Scaling solution xi^s of the correlation eigenvalue equation.
 
@@ -304,7 +294,8 @@ def correlation_eigenfunction(lam: float, ordering: str, grid) -> np.ndarray:
     symmetrized); the imaginary part is a pure phase, so |psi| follows only
     the ordering.  The grid must be strictly positive and ascending.
     """
-    _check_ordering(ordering)
+    if ordering not in tuple(ORDERINGS):  # a tuple also answers `in` for an unhashable value
+        raise InputError(f"ordering must be one of {tuple(ORDERINGS)}, got {ordering!r}")
     if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
         raise InputError("lambda must be a finite real number")
     x = np.atleast_1d(_as_grid(grid))
@@ -312,7 +303,7 @@ def correlation_eigenfunction(lam: float, ordering: str, grid) -> np.ndarray:
         raise InputError("grid must be strictly positive")
     if np.any(np.diff(x) <= 0.0):
         raise InputError("grid must be strictly ascending")
-    s = _scaling_exponent(float(lam), ordering)
+    s = complex(-ORDERINGS[ordering], -float(lam))
     return np.exp(s * np.log(x.astype(complex)))
 
 
@@ -328,8 +319,7 @@ def eigenfunction_residual(lam: float, ordering: str, grid) -> float:
     if x.size < 3:
         raise InputError("need at least 3 grid points for the residual")
     dpsi = (values[2:] - values[:-2]) / (x[2:] - x[:-2])
-    shift = 1.0 if ordering == "printed" else 0.5
-    lhs = 1j * (x[1:-1] * dpsi + shift * values[1:-1])
+    lhs = 1j * (x[1:-1] * dpsi + ORDERINGS[ordering] * values[1:-1])
     return float(np.max(np.abs(lhs - float(lam) * values[1:-1])))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,9 @@ from quantumtoss.correlation import (
     classify_signs,
     correlation_spectrum,
     correlation_value,
-    parity_blocks,
     sign_classification,
 )
-from quantumtoss.errors import InputError, StructureError
+from quantumtoss.errors import ConvergenceError, InputError
 from quantumtoss.gamespace import GameSpace, build_operators
 from quantumtoss.numerics import hermitian_eigen
 
@@ -25,34 +25,6 @@ def expected_zero_count(dim):
     even = (dim + 1) // 2
     odd = dim // 2
     return even % 2 + odd % 2
-
-
-def test_parity_blocks_dim3():
-    blocks = parity_blocks(build_operators(GameSpace(2)).precorrelation)
-    assert blocks.even.shape == (2, 2)
-    assert blocks.odd.shape == (1, 1)
-    assert blocks.even_index == (0, 2)
-    assert blocks.odd_index == (1,)
-
-
-def test_parity_blocks_dim2_zero_matrix():
-    blocks = parity_blocks(build_operators(GameSpace(1)).precorrelation)
-    np.testing.assert_array_equal(blocks.even, np.zeros((1, 1)))
-    np.testing.assert_array_equal(blocks.odd, np.zeros((1, 1)))
-
-
-def test_parity_blocks_dim5_partition():
-    blocks = parity_blocks(build_operators(GameSpace(4)).precorrelation)
-    assert blocks.even_index == (0, 2, 4)
-    assert blocks.odd_index == (1, 3)
-
-
-def test_parity_blocks_rejects_unexpected_coupling():
-    bad = np.zeros((4, 4), dtype=complex)
-    bad[1, 0] = 0.5
-    bad[0, 1] = 0.5
-    with pytest.raises(StructureError, match=r"\(0, 1\)|\(1, 0\)"):
-        parity_blocks(bad)
 
 
 def test_correlation_value_round_states_vanish():
@@ -110,6 +82,16 @@ def test_spectrum_dim2_all_zero():
     np.testing.assert_array_equal(report.eigenvalues, [0.0, 0.0])
     assert all(row.correlation == 0.0 for row in report.rows)
     assert sign_classification(report) == (0, 0)
+    assert sorted(row.parity for row in report.rows) == ["even", "odd"]
+
+
+def test_finite_rows_live_on_their_labelled_parity():
+    report = correlation_spectrum(GameSpace(4))
+    even = [row.vector for row in report.rows if row.parity == "even"]
+    odd = [row.vector for row in report.rows if row.parity == "odd"]
+    assert len(even) == 3 and len(odd) == 2
+    assert all(not np.any(v[1::2]) for v in even)
+    assert all(not np.any(v[0::2]) for v in odd)
 
 
 def test_spectrum_rounds5_sign_multiset():
@@ -200,12 +182,49 @@ def test_periodic_mode_reports_mixed_parity():
     assert all(row.parity == "mixed" for row in report.rows)
 
 
-def test_parity_blocks_names_first_offending_entry_row_major():
-    pc = build_operators(GameSpace(6)).precorrelation
-    pc[4, 0] = 0.5  # |m - n| = 4, but row-major order meets (2, 5) first
-    pc[2, 5] = pc[5, 2] = 0.25j  # |m - n| = 3
-    with pytest.raises(StructureError, match=r"entry \(2, 5\)"):
-        parity_blocks(pc)
+@pytest.mark.parametrize(
+    "rounds, mode, crosses",
+    [(n, "finite", False) for n in (0, 1, 2, 5, 127, 511)]
+    + [(n, "periodic", False) for n in (1, 3, 511)]
+    + [(n, "periodic", True) for n in (2, 4, 510)],
+)
+def test_precorrelation_crosses_parity_only_at_even_periodic_rounds(rounds, mode, crosses):
+    pc = build_operators(GameSpace(rounds, mode)).precorrelation
+    assert bool(np.any(pc[0::2, 1::2])) == crosses
+
+
+@pytest.mark.parametrize(
+    "rounds, mode",
+    [(n, "finite") for n in (0, 1, 2, 4, 7)] + [(n, "periodic") for n in (1, 3, 5, 2, 4, 6)],
+)
+def test_spectrum_splits_by_parity_unless_an_entry_crosses_it(monkeypatch, rounds, mode):
+    import quantumtoss.correlation as corr_mod
+
+    dims = []
+
+    def counted(m):
+        dims.append(m.shape[0])
+        return hermitian_eigen(m)
+
+    monkeypatch.setattr(corr_mod, "hermitian_eigen", counted)
+    correlation_spectrum(GameSpace(rounds, mode))
+    dim = rounds + 1
+    if mode == "periodic" and rounds % 2 == 0:
+        assert dims == [dim]
+    else:
+        assert dims == [n for n in ((dim + 1) // 2, dim // 2) if n]
+
+
+def test_spectrum_unnormalized_eigenvector_is_a_convergence_error(monkeypatch):
+    import quantumtoss.correlation as corr_mod
+
+    def stretched(m):
+        dec = hermitian_eigen(m)
+        return dataclasses.replace(dec, vectors=dec.vectors * (1 + 1e-9))
+
+    monkeypatch.setattr(corr_mod, "hermitian_eigen", stretched)
+    with pytest.raises(ConvergenceError, match="not normalized"):
+        correlation_spectrum(GameSpace(4))
 
 
 def test_spectrum_rejects_rounds_above_eigen_ceiling_before_building(monkeypatch):

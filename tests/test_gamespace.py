@@ -34,8 +34,14 @@ def test_gamespace_validation():
     for rounds in (True, 2.0):
         with pytest.raises(InputError, match=f"got {rounds!r}"):
             GameSpace(rounds)
+    for kappa in (10**400, True, float("nan"), math.inf):
+        with pytest.raises(InputError, match="kappa1 must be a positive finite number"):
+            GameSpace(2, kappa1=kappa)
     assert GameSpace(4).dim == 5
     assert GameSpace(np.int64(3)).dim == 4
+    for kappa in (np.float32(2.0), np.int64(3)):
+        gs = GameSpace(2, kappa1=kappa, kappa2=kappa)
+        assert gs.kappa1 == gs.kappa2 == kappa and type(gs.kappa1) is float
 
 
 def test_ladder_finite_entries():
