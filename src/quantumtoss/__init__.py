@@ -12,7 +12,6 @@ from .correlation import (
     CorrelationReport,
     CorrelationRow,
     correlation_spectrum,
-    correlation_value,
     sign_classification,
 )
 from .errors import ConvergenceError, InputError

@@ -17,26 +17,10 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .gamespace import GameSpace, build_operators
-from .numerics import (
-    STATE_NORM_TOL,
-    as_matrix,
-    as_state,
-    expectation,
-    hermitian_eigen,
-)
+from .numerics import STATE_NORM_TOL, hermitian_eigen
 
 ZERO_BAND = 1e-10
 PEARSON_MIN_SPREAD = 1e-12
-
-
-def correlation_value(state, pi1, pi2, pc) -> float:
-    """<PC> - <pi1><pi2> in a unit state; real because PC is Hermitian."""
-    pc = as_matrix(pc)
-    state = as_state(state, pc.shape[0])
-    mean_pc = expectation(state, pc).real
-    e1 = expectation(state, pi1).real
-    e2 = expectation(state, pi2).real
-    return float(mean_pc - e1 * e2)
 
 
 def classify_signs(eigenvalues) -> np.ndarray:

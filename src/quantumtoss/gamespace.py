@@ -10,13 +10,12 @@ product — is built from it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .numerics import EIGEN_DIM_MAX, adjoint, as_int, commutator, expectation
+from .numerics import EIGEN_DIM_MAX, adjoint, as_int, as_real, commutator, expectation
 
 MODES = ("finite", "periodic")
 
@@ -50,16 +49,8 @@ class GameSpace:
         if self.mode == "periodic" and self.rounds_max < 1:
             raise InputError("periodic mode is degenerate with a single state")
         for name in ("kappa1", "kappa2"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            try:
-                kappa = float(value) if real else math.nan
-            except OverflowError:  # an int or fraction beyond the largest double
-                kappa = math.inf
-            if not 0 < kappa < math.inf:
-                raise InputError(f"{name} must be a positive finite number, got {value!r}")
             # stored as a Python float: numpy scalar products would wrap or overflow
-            object.__setattr__(self, name, kappa)
+            object.__setattr__(self, name, as_real(getattr(self, name), name, positive=True))
 
     @property
     def dim(self) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .gamespace import GameSpace, build_operators
-from .numerics import as_int, hermitian_eigen
+from .numerics import as_int, as_real, hermitian_eigen
 
 HERMITE_N_MAX = 300
 PEAKS_N_MAX = 100
@@ -108,8 +108,9 @@ class DensityGrid:
 def uniform_grid(xi_min: float, xi_max: float, samples: int) -> np.ndarray:
     """``samples`` (2..SAMPLES_MAX) equally spaced points from xi_min to xi_max, both included."""
     samples = as_int(samples, "samples", 2, SAMPLES_MAX)
+    xi_min, xi_max = as_real(xi_min, "xi_min"), as_real(xi_max, "xi_max")
     # a range whose width overflows would fill the grid with inf and nan
-    if not math.isfinite(float(xi_max) - float(xi_min)) or xi_min >= xi_max:
+    if not math.isfinite(xi_max - xi_min) or xi_min >= xi_max:
         raise InputError(f"invalid range [{xi_min}, {xi_max}]")
     return np.linspace(xi_min, xi_max, samples)
 
@@ -178,8 +179,7 @@ def density_peaks(n: int) -> PeakSet:
 
 def central_second_difference(fn, x, h: float):
     """(fn(x+h) - 2 fn(x) + fn(x-h)) / h^2 on scalars or arrays."""
-    if not (math.isfinite(h) and h > 0):
-        raise InputError("step h must be positive")
+    h = as_real(h, "step h", positive=True)
     x = _as_grid(x)
     return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
 
@@ -296,14 +296,13 @@ def correlation_eigenfunction(lam: float, ordering: str, grid) -> np.ndarray:
     """
     if ordering not in tuple(ORDERINGS):  # a tuple also answers `in` for an unhashable value
         raise InputError(f"ordering must be one of {tuple(ORDERINGS)}, got {ordering!r}")
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-        raise InputError("lambda must be a finite real number")
+    lam = as_real(lam, "lambda")
     x = np.atleast_1d(_as_grid(grid))
     if x.size == 0 or np.any(x <= 0.0):
         raise InputError("grid must be strictly positive")
     if np.any(np.diff(x) <= 0.0):
         raise InputError("grid must be strictly ascending")
-    s = complex(-ORDERINGS[ordering], -float(lam))
+    s = complex(-ORDERINGS[ordering], -lam)
     return np.exp(s * np.log(x.astype(complex)))
 
 

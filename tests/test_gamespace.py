@@ -156,6 +156,21 @@ def test_ladder_commutator_closed_forms():
         assert abs(audit_p.ladder_trace) <= 1e-10
 
 
+@pytest.mark.parametrize("mode", ["finite", "periodic"])
+def test_audit_at_the_dimension_ceiling(mode):
+    # rounds 511 is dimension EIGEN_DIM_MAX = 512; tolerances as at small N
+    rounds = 511
+    audit = audit_commutators(GameSpace(rounds, mode))
+    assert abs(audit.ladder_trace) <= 1e-10
+    if mode == "finite":
+        assert audit.pattern_max_deviation["trace_zero"] <= 1e-14 * rounds
+        assert audit.pattern_max_deviation["unit_trace"] == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert audit.pattern_max_deviation["wrap"] <= 1e-14 * rounds
+    assert audit.interior_max_deviation <= 1e-12
+    assert audit.payoff_sign == -1
+
+
 def test_audit_unit_trace_variant_misses_by_one():
     # the trace-1 diagonal cannot be a commutator; the audit must show the gap
     audit = audit_commutators(GameSpace(9))

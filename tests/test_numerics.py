@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from quantumtoss import numerics as nx
 from quantumtoss.errors import InputError
 from quantumtoss.gamespace import GameSpace, build_ladder, build_operators
 
-from oracles import eigenvalues_oracle, eigenvector_oracle
+from oracles import dense_dekker_commutator, eigenvalues_oracle, eigenvector_oracle
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -141,6 +142,25 @@ def test_input_validation_rejects_nan():
         nx.as_state(np.array([np.inf, 0.0]))
 
 
+def test_as_real_takes_any_finite_real_as_a_float():
+    for value, expected in ((np.float32(1.5), 1.5), (np.int64(-3), -3.0), (2, 2.0), (-0.25, -0.25)):
+        got = nx.as_real(value, "x")
+        assert got == expected and type(got) is float
+    assert nx.as_real(1e-300, "kappa1", positive=True) == 1e-300
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), True, math.nan, math.inf, "1", None])
+def test_as_real_rejects_with_name_and_value(value):
+    with pytest.raises(InputError, match=rf"^x must be a finite real number, got {re.escape(repr(value))}$"):
+        nx.as_real(value, "x")
+
+
+@pytest.mark.parametrize("value", [0, -0.0, -1.0, 10**400, True, math.inf])
+def test_as_real_positive_rejects_with_name_and_value(value):
+    with pytest.raises(InputError, match=rf"^k must be a positive finite number, got {re.escape(repr(value))}$"):
+        nx.as_real(value, "k", positive=True)
+
+
 def test_as_int_names_value_and_range():
     assert nx.as_int(np.int64(7), "n", 0, 7) == 7 and type(nx.as_int(np.int64(7), "n", 0)) is int
     with pytest.raises(InputError, match=r"^n must be an integer in 0\.\.7, got 8$"):
@@ -161,6 +181,42 @@ def test_commutator_antisymmetry(seed, dim):
     lhs = nx.commutator(a, b)
     rhs = -nx.commutator(b, a)
     assert np.max(np.abs(lhs - rhs)) <= 1e-14
+
+
+def sparse_signed_matrix(rng, dim, zero_rows):
+    """Random complex matrix with about half its parts zero, each zero signed at random."""
+    parts = []
+    for _ in range(2):
+        part = rng.normal(size=(dim, dim))
+        part[rng.random((dim, dim)) < 0.5] = 0.0
+        part[zero_rows] = 0.0
+        parts.append(np.where(part == 0.0, rng.choice([0.0, -0.0], size=(dim, dim)), part))
+    m = np.empty((dim, dim), dtype=complex)  # set apart: re + 1j * im would unsign zeros
+    m.real, m.imag = parts
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), dim=st.integers(1, 8))
+def test_commutator_matches_dense_dekker_bytes(seed, dim):
+    rng = np.random.default_rng(seed)
+    zero_rows = rng.random(dim) < 0.25  # all zero in both a and b
+    a = sparse_signed_matrix(rng, dim, zero_rows)
+    b = sparse_signed_matrix(rng, dim, zero_rows)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert nx.commutator(x, y).tobytes() == dense_dekker_commutator(x, y).tobytes()
+
+
+@pytest.mark.parametrize("rounds", [*range(1, 41), 170])
+@pytest.mark.parametrize("mode", ["finite", "periodic"])
+def test_commutator_of_game_operators_matches_dense_dekker_bytes(mode, rounds):
+    for kappa1, kappa2 in ((1.0, 1.0), (2.0, 0.5), (7.3, 1.1)):
+        ops = build_operators(GameSpace(rounds, mode, kappa1, kappa2))
+        pairs = [(ops.pi1, ops.pi2), (ops.pi2, ops.pi1)]
+        if kappa1 == kappa2 == 1.0:  # the ladder does not depend on kappa
+            pairs.append((ops.a_minus, ops.a_plus))
+        for a, b in pairs:
+            assert nx.commutator(a, b).tobytes() == dense_dekker_commutator(a, b).tobytes()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

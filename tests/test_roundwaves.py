@@ -21,6 +21,7 @@ from quantumtoss.roundwaves import (
     hermite_zeros,
     psi,
     schrodinger_residual,
+    uniform_grid,
 )
 
 from oracles import scan_density_maxima
@@ -348,6 +349,28 @@ def test_correlation_eigenfunction_residual_small():
             resid = eigenfunction_residual(lam, ordering, xi)
             scale = np.max(np.abs(correlation_eigenfunction(lam, ordering, xi)))
             assert resid <= 1e-6 * scale, (ordering, lam)
+
+
+@pytest.mark.parametrize("value", [10**400, True, math.nan, math.inf])
+def test_real_arguments_rejected_as_input_errors(value):
+    grid = np.array([1.0, 2.0])
+    with pytest.raises(InputError, match=f"^lambda must be a finite real number, got {value!r}$"):
+        correlation_eigenfunction(value, "weyl", grid)
+    with pytest.raises(InputError, match=f"^xi_min must be a finite real number, got {value!r}$"):
+        uniform_grid(value, 8.0, 5)
+    with pytest.raises(InputError, match=f"^xi_max must be a finite real number, got {value!r}$"):
+        uniform_grid(-8.0, value, 5)
+    with pytest.raises(InputError, match=f"^step h must be a positive finite number, got {value!r}$"):
+        central_second_difference(np.sin, grid, value)
+
+
+def test_real_arguments_accept_numpy_scalars():
+    grid = np.array([1.0, 2.0])
+    np.testing.assert_array_equal(
+        correlation_eigenfunction(np.float32(1.0), "weyl", grid),
+        correlation_eigenfunction(1.0, "weyl", grid),
+    )
+    np.testing.assert_array_equal(uniform_grid(np.float32(-8.0), np.int64(8), 5), np.linspace(-8.0, 8.0, 5))
 
 
 def test_correlation_eigenfunction_validation():
