@@ -4,7 +4,8 @@ Every analysis is a subcommand that prints a CSV table to stdout.  Only
 operators, audit, spectrum and sweep take --format json and --out PATH;
 density, classical and compare can additionally write an SVG figure to
 --svg PATH.  Exit codes: 0 success, 2 usage/invalid input, 1
-numerical failure or I/O error.
+numerical failure or I/O error; a command that exits non-zero writes
+nothing to stdout.
 
     quantumtoss operators  --rounds 2 --mode periodic --format json
     quantumtoss spectrum   --rounds 4
@@ -63,21 +64,15 @@ def _cutoff_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _add_game_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=MODES, default="finite")
-    sub.add_argument("--kappa1", type=float, default=1.0)
-    sub.add_argument("--kappa2", type=float, default=1.0)
-
-
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None)
-
-
 def _add_grid_flags(sub: argparse.ArgumentParser, xi_min: float = -8.0) -> None:
     sub.add_argument("--xi-min", dest="xi_min", type=float, default=xi_min)
     sub.add_argument("--xi-max", dest="xi_max", type=float, default=8.0)
     sub.add_argument("--samples", type=int, default=1601)
+
+
+def _add_kappa_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--kappa1", type=float, default=1.0)
+    sub.add_argument("--kappa2", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,91 +82,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("operators", help="dump all game operators (plus the audit in JSON)")
-    p.add_argument("--rounds", type=int, required=True)
-    _add_game_flags(p)
-    _add_output_flags(p)
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        return p
 
-    p = sub.add_parser("audit", help="commutator patterns, deviations and the |0>-sector value")
-    p.add_argument("--rounds", type=int, required=True)
-    _add_game_flags(p)
-    _add_output_flags(p)
+    # the subcommands on one GameSpace: name, rounds flag, run, help
+    for name, rounds, run, summary in (
+        ("operators", "--rounds", _cmd_operators, "dump all game operators (plus the audit in JSON)"),
+        ("audit", "--rounds", _cmd_audit, "commutator patterns, deviations and the |0>-sector value"),
+        ("spectrum", "--rounds", _cmd_spectrum, "pre-correlation spectrum with per-eigenstate statistics"),
+        ("sweep", "--rounds-max", _cmd_sweep, "spectra for every round count up to --rounds-max"),
+    ):
+        p = command(name, run, summary)
+        p.add_argument(rounds, type=int, required=True)
+        p.add_argument("--mode", choices=MODES, default="finite")
+        _add_kappa_flags(p)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("spectrum", help="pre-correlation spectrum with per-eigenstate statistics")
-    p.add_argument("--rounds", type=int, required=True)
-    _add_game_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("sweep", help="spectra for every round count up to --rounds-max")
-    p.add_argument("--rounds-max", dest="rounds_max", type=int, required=True)
-    _add_game_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("variance", help="mean-squared pay-off of one player in a round state")
+    p = command("variance", _cmd_variance, "mean-squared pay-off of one player in a round state")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--player", type=int, choices=(1, 2), required=True)
-    p.add_argument("--kappa1", type=float, default=1.0)
-    p.add_argument("--kappa2", type=float, default=1.0)
+    _add_kappa_flags(p)
 
-    p = sub.add_parser("density", help="round wavefunction and density on a grid")
+    p = command("density", _cmd_density, "round wavefunction and density on a grid")
     p.add_argument("--n", type=int, required=True)
     _add_grid_flags(p)
     p.add_argument("--svg", default=None)
 
-    p = sub.add_parser("peaks", help="density maxima of one round state")
+    p = command("peaks", _cmd_peaks, "density maxima of one round state")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("classical", help="classical random-walk density on a grid")
+    p = command("classical", _cmd_classical, "classical random-walk density on a grid")
     p.add_argument("--n", type=int, required=True)
     _add_grid_flags(p)
     p.add_argument("--svg", default=None)
 
-    p = sub.add_parser("compare", help="quantum density versus the classical walk")
+    p = command("compare", _cmd_compare, "quantum density versus the classical walk")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--svg", default=None)
 
-    p = sub.add_parser("corr-eigen", help="correlation eigenfunction on a positive grid")
+    p = command("corr-eigen", _cmd_corr_eigen, "correlation eigenfunction on a positive grid")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--ordering", choices=ORDERINGS, default="weyl")
     _add_grid_flags(p, xi_min=0.01)
 
-    p = sub.add_parser("diverge", help="classify the norm divergence of a continuum state")
+    p = command("diverge", _cmd_diverge, "classify the norm divergence of a continuum state")
     p.add_argument("--kind", choices=DIVERGENCE_KINDS, required=True)
     p.add_argument("--cutoffs", type=_cutoff_list, required=True)
-
-    for p in sub.choices.values():
-        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
-def _emit(args, table, config=None, audit=None, figure=None):
-    """Print or write the table; ``config`` only for subcommands with --format."""
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _emit(args, table, audit=None, series=(), markers=()):
+    """Write the --svg figure of ``series``, then print the table or write it to --out.
+
+    The figure comes first, so a failed write leaves stdout empty.  The JSON
+    config holds every parsed value but --out, in flag order.
+    """
+    if getattr(args, "svg", None) is not None:
+        _write(args.svg, render_svg(series, x_label="xi", y_label="density", markers=markers))
     if getattr(args, "format", "csv") == "json":
+        config = {k: v for k, v in vars(args).items() if k not in ("out", "run")}
         text = reports.write_json(config, table, audit)
     else:
         text = reports.write_csv(table)
-    out = getattr(args, "out", None)
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    if getattr(args, "out", None) is not None:
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
-    if figure is not None:  # built only when --svg is given
-        with open(args.svg, "w", encoding="utf-8", newline="") as fh:
-            fh.write(figure)
-
-
-def _game_config(args) -> dict:
-    rounds = "rounds_max" if args.subcommand == "sweep" else "rounds"
-    return {
-        "subcommand": args.subcommand,
-        rounds: getattr(args, rounds),
-        "mode": args.mode,
-        "kappa1": args.kappa1,
-        "kappa2": args.kappa2,
-        "format": args.format,
-    }
 
 
 def _cmd_operators(args):
@@ -183,20 +169,18 @@ def _cmd_operators(args):
         "metrics": dict(zip(metrics["metric"], metrics["value"])),
         **reports.audit_detail(audit),
     }
-    _emit(args, reports.operator_rows(ops), _game_config(args), audit=audit_obj)
+    _emit(args, reports.operator_rows(ops), audit=audit_obj)
 
 
 def _cmd_audit(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
     audit = audit_commutators(gs)
-    _emit(args, reports.audit_rows(audit), _game_config(args),
-          audit=reports.audit_detail(audit))
+    _emit(args, reports.audit_rows(audit), audit=reports.audit_detail(audit))
 
 
 def _cmd_spectrum(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
-    report = correlation_spectrum(gs)
-    _emit(args, reports.spectrum_rows(report), _game_config(args))
+    _emit(args, reports.spectrum_rows(correlation_spectrum(gs)))
 
 
 def _cmd_sweep(args):
@@ -205,7 +189,7 @@ def _cmd_sweep(args):
     for rounds in range(1, args.rounds_max + 1):
         gs = GameSpace(rounds, args.mode, args.kappa1, args.kappa2)
         tables.append(reports.spectrum_rows(correlation_spectrum(gs), rounds=rounds))
-    _emit(args, reports.concat_tables(tables), _game_config(args))
+    _emit(args, reports.concat_tables(tables))
 
 
 def _cmd_variance(args):
@@ -215,51 +199,38 @@ def _cmd_variance(args):
 
 def _cmd_density(args):
     grid = density_grid(args.n, args.xi_min, args.xi_max, args.samples)
-    figure = None
-    if args.svg is not None:
-        figure = render_svg(
-            [Series(f"round {args.n} density", grid.xi, grid.density)],
-            x_label="xi", y_label="density",
-        )
-    _emit(args, reports.density_rows(grid), figure=figure)
+    _emit(args, {"xi": grid.xi, "psi": grid.psi, "density": grid.density},
+          series=[Series(f"round {args.n} density", grid.xi, grid.density)])
 
 
 def _cmd_peaks(args):
-    _emit(args, reports.peaks_rows(density_peaks(args.n)))
+    _emit(args, reports.one_row(vars(density_peaks(args.n))))
 
 
 def _cmd_classical(args):
     xi = uniform_grid(args.xi_min, args.xi_max, args.samples)
     density = classical_mixture_density(args.n, xi)
-    figure = None
-    if args.svg is not None:
-        figure = render_svg(
-            [Series(f"classical walk n={args.n}", xi, density)],
-            x_label="xi", y_label="density",
-        )
-    _emit(args, reports.classical_rows(xi, density), figure=figure)
+    _emit(args, {"xi": xi, "density": density},
+          series=[Series(f"classical walk n={args.n}", xi, density)])
 
 
 def _cmd_compare(args):
     rep = compare_quantum_classical(args.n)
-    figure = None
-    if args.svg is not None:
-        half = float(args.n) + 4.0
-        grid = density_grid(args.n, -half, half, 1601)
-        classical = classical_mixture_density(args.n, grid.xi)
-        figure = render_svg(
-            [
-                Series(f"round {args.n} density", grid.xi, grid.density),
-                Series(f"classical walk n={args.n}", grid.xi, classical),
-            ],
-            x_label="xi",
-            y_label="density",
-            markers=[
-                MarkerGroup("quantum peaks", tuple(float(x) for x in rep.quantum_peaks)),
-                MarkerGroup("classical centers", tuple(float(x) for x in rep.classical_centers)),
-            ],
-        )
-    _emit(args, reports.one_row(vars(rep)), figure=figure)
+    half = float(args.n) + 4.0
+    grid = density_grid(args.n, -half, half, 1601)
+    _emit(
+        args,
+        reports.one_row(vars(rep)),
+        series=[
+            Series(f"round {args.n} density", grid.xi, grid.density),
+            Series(f"classical walk n={args.n}", grid.xi,
+                   classical_mixture_density(args.n, grid.xi)),
+        ],
+        markers=[
+            MarkerGroup("quantum peaks", tuple(float(x) for x in rep.quantum_peaks)),
+            MarkerGroup("classical centers", tuple(float(x) for x in rep.classical_centers)),
+        ],
+    )
 
 
 def _cmd_corr_eigen(args):
@@ -272,21 +243,6 @@ def _cmd_diverge(args):
     _emit(args, reports.one_row(vars(divergence_scan(args.kind, args.cutoffs))))
 
 
-_COMMANDS = {
-    "operators": _cmd_operators,
-    "audit": _cmd_audit,
-    "spectrum": _cmd_spectrum,
-    "sweep": _cmd_sweep,
-    "variance": _cmd_variance,
-    "density": _cmd_density,
-    "peaks": _cmd_peaks,
-    "classical": _cmd_classical,
-    "compare": _cmd_compare,
-    "corr-eigen": _cmd_corr_eigen,
-    "diverge": _cmd_diverge,
-}
-
-
 def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
@@ -294,7 +250,7 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        _COMMANDS[args.subcommand](args)
+        args.run(args)
         return 0
     except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

@@ -7,8 +7,9 @@ None or lists of floats), formatted field by field.  The table's keys are
 both the CSV header and the JSON row keys, and each column is named in one
 place: a table of result objects takes its columns from the fields of the
 result class, in field order (``spectrum_rows``, and ``one_row`` of a
-``ComparisonReport``, ``DivergenceReport`` or ``PayoffVariance``); a table
-of derived columns is named by its ``*_rows`` builder.  CSV renders floats
+``ComparisonReport``, ``DivergenceReport``, ``PayoffVariance`` or
+``PeakSet``); a table of derived columns is named by its ``*_rows`` builder,
+and a sampled grid by the subcommand that prints it.  CSV renders floats
 with 17 significant digits ('.' decimal separator, '\\n' line endings,
 RFC-4180-style quoting); JSON keeps native doubles so a re-parse reproduces
 the report exactly, in the layout of ``json.dumps(payload, indent=2)``.
@@ -23,7 +24,6 @@ import numpy as np
 
 from .correlation import CorrelationReport, CorrelationRow
 from .gamespace import CommutatorAudit, OperatorSet
-from .roundwaves import DensityGrid, PeakSet
 
 
 def format_field(value) -> str:
@@ -224,28 +224,6 @@ def spectrum_rows(report: CorrelationReport, rounds: int | None = None) -> dict:
             values = [getattr(r, f.name) for r in rows]
             table[f.name] = np.array(values, dtype=float) if f.type in (float, "float") else values
     return table
-
-
-def density_rows(grid: DensityGrid) -> dict:
-    return {
-        "xi": np.asarray(grid.xi, dtype=float),
-        "psi": np.asarray(grid.psi, dtype=float),
-        "density": np.asarray(grid.density, dtype=float),
-    }
-
-
-def peaks_rows(ps: PeakSet) -> dict:
-    return one_row(
-        {
-            "n": ps.n,
-            "maxima": [float(x) for x in ps.maxima],
-            "classical_centers": [float(x) for x in ps.classical_centers],
-        }
-    )
-
-
-def classical_rows(xi: np.ndarray, density: np.ndarray) -> dict:
-    return {"xi": np.asarray(xi, dtype=float), "density": np.asarray(density, dtype=float)}
 
 
 def correigen_rows(xi: np.ndarray, values: np.ndarray) -> dict:

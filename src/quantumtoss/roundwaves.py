@@ -34,6 +34,9 @@ ORDERINGS = {"printed": 1.0, "weyl": 0.5}
 DIVERGENCE_KINDS = ("plane", *ORDERINGS)
 
 _QUAD_STEP = 1e-3
+# smallest step of central_second_difference: below eps^(1/3) the rounding
+# term ~4 eps |f| / h^2 outgrows the O(h^2) truncation error it should beat
+STEP_MIN = float(np.finfo(float).eps ** (1 / 3))
 
 
 def _as_grid(xi):
@@ -178,8 +181,10 @@ def density_peaks(n: int) -> PeakSet:
 
 
 def central_second_difference(fn, x, h: float):
-    """(fn(x+h) - 2 fn(x) + fn(x-h)) / h^2 on scalars or arrays."""
+    """(fn(x+h) - 2 fn(x) + fn(x-h)) / h^2 on scalars or arrays, for h >= STEP_MIN."""
     h = as_real(h, "step h", positive=True)
+    if h < STEP_MIN:
+        raise InputError(f"step h must be at least {STEP_MIN:.6g}, got {h!r}")
     x = _as_grid(x)
     return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
 

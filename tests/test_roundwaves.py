@@ -8,6 +8,7 @@ from quantumtoss.errors import InputError
 from quantumtoss.roundwaves import (
     COMPARE_N_MAX,
     PEAKS_N_MAX,
+    STEP_MIN,
     central_second_difference,
     classical_mixture,
     classical_mixture_density,
@@ -237,6 +238,25 @@ def test_schrodinger_residual_small_and_second_order():
 def test_schrodinger_residual_grid_bound():
     with pytest.raises(InputError):
         schrodinger_residual(0, np.linspace(-20, 20, 11), 1e-3)
+
+
+@pytest.mark.parametrize("h", [1e-200, 1e-12, 1e-8])
+def test_step_below_the_rounding_floor_rejected(h):
+    grid = np.array([0.0, 0.5])
+    message = f"^step h must be at least {STEP_MIN:.6g}, got {h!r}$"
+    with pytest.raises(InputError, match=message):
+        central_second_difference(np.sin, grid, h)
+    with pytest.raises(InputError, match=message):
+        schrodinger_residual(2, grid, h)
+
+
+@pytest.mark.parametrize("h", [1e-3, 5e-4, 1e-4])
+def test_steps_above_the_rounding_floor_accepted(h):
+    grid = np.array([0.0, 0.5])
+    assert 6.0e-6 < STEP_MIN < 6.1e-6
+    d2 = central_second_difference(np.sin, grid, h)
+    np.testing.assert_allclose(d2, -np.sin(grid), atol=1e-6)
+    assert schrodinger_residual(2, grid, h) <= 2e-6
 
 
 def test_classical_mixture_weights_and_centers():

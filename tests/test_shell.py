@@ -1,11 +1,17 @@
+import argparse
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quantumtoss
+from quantumtoss import cli
 from quantumtoss.cli import run_cli
 from quantumtoss.errors import InputError
 from quantumtoss.gamespace import GameSpace
@@ -707,3 +713,93 @@ def test_render_svg_deterministic_and_standalone():
     assert first.startswith("<?xml")
     assert 'version="1.1"' in first
     assert first.count("<polyline") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("density", "--n", "1", "--samples", "3"),
+    ("classical", "--n", "1", "--samples", "3"),
+    ("compare", "--n", "1"),
+])
+def test_unwritable_svg_path_leaves_stdout_empty(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--svg", str(tmp_path / "no" / "x.svg"))
+    assert code == 1 and out == ""
+    assert "No such file or directory" in err
+
+
+_GAME_FLAGS = [
+    (("--mode",), "mode", None, "finite", ("finite", "periodic"), False),
+    (("--kappa1",), "kappa1", float, 1.0, None, False),
+    (("--kappa2",), "kappa2", float, 1.0, None, False),
+    (("--format",), "format", None, "csv", ("csv", "json"), False),
+    (("--out",), "out", None, None, None, False),
+]
+_ROUNDS = (("--rounds",), "rounds", int, None, None, True)
+_N = (("--n",), "n", int, None, None, True)
+_SVG = (("--svg",), "svg", None, None, None, False)
+
+
+def _grid_flags(xi_min):
+    return [
+        (("--xi-min",), "xi_min", float, xi_min, None, False),
+        (("--xi-max",), "xi_max", float, 8.0, None, False),
+        (("--samples",), "samples", int, 1601, None, False),
+    ]
+
+
+# every subcommand in --help order, with each flag's
+# (option strings, dest, type, default, choices, required)
+FLAG_SURFACE = {
+    "operators": [_ROUNDS, *_GAME_FLAGS],
+    "audit": [_ROUNDS, *_GAME_FLAGS],
+    "spectrum": [_ROUNDS, *_GAME_FLAGS],
+    "sweep": [(("--rounds-max",), "rounds_max", int, None, None, True), *_GAME_FLAGS],
+    "variance": [
+        _ROUNDS, _N, (("--player",), "player", int, None, (1, 2), True), *_GAME_FLAGS[1:3],
+    ],
+    "density": [_N, *_grid_flags(-8.0), _SVG],
+    "peaks": [_N],
+    "classical": [_N, *_grid_flags(-8.0), _SVG],
+    "compare": [_N, _SVG],
+    "corr-eigen": [
+        (("--lambda",), "lam", float, None, None, True),
+        (("--ordering",), "ordering", None, "weyl", ("printed", "weyl"), False),
+        *_grid_flags(0.01),
+    ],
+    "diverge": [
+        (("--kind",), "kind", None, None, ("plane", "printed", "weyl"), True),
+        (("--cutoffs",), "cutoffs", cli._cutoff_list, None, None, True),
+    ],
+}
+
+
+def test_flag_surface_is_pinned():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("subcommand", True)
+    assert list(sub.choices) == list(FLAG_SURFACE)
+    for name, expected in FLAG_SURFACE.items():
+        got = [
+            (tuple(a.option_strings), a.dest, a.type, a.default,
+             None if a.choices is None else tuple(a.choices), a.required)
+            for a in sub.choices[name]._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        assert got == expected, name
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (("peaks", "--n", "2"), 0),
+    (("spectrum", "--rounds", "3", "--format", "json"), 0),
+    (("spectrum", "--rounds", "-1"), 2),
+])
+def test_module_entry_point_matches_run_cli(capsys, argv, expected_code):
+    code, out, err = run(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(quantumtoss.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quantumtoss", *argv], env=env, capture_output=True, timeout=120
+    )
+    assert code == proc.returncode == expected_code
+    assert proc.stdout == out.encode("utf-8")
+    assert proc.stderr.decode("utf-8") == err
+    if expected_code:
+        assert proc.stdout == b""
