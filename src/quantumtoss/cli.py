@@ -52,9 +52,11 @@ PROG = "quantumtoss"
 # largest --rounds-max of `sweep`: 128 spectra up to dimension 129, which
 # took 20-21 s in periodic mode (8-12 s finite) on a 2-vCPU Linux VM
 SWEEP_ROUNDS_MAX = 128
-# argparse reads only -12 and -1.5 as negative numbers, and -1e-3 or -inf as
-# an option; this also takes exponents and inf, infinity and nan in any case
-_NEGATIVE_NUMBER = re.compile(r"(?i)^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$")
+# argparse reads only -12 and -1.5 as negative numbers, and -1e-3, -inf or
+# -2,4 as an option; this also takes exponents and inf, infinity and nan in
+# any case, and a comma-separated list (--cutoffs) whose first number is negative
+_NUMBER = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)"
+_NEGATIVE_NUMBER = re.compile(rf"(?i)^-{_NUMBER}(,[-+]?{_NUMBER})*$")
 
 
 def _cutoff_list(text: str) -> tuple[float, ...]:

@@ -58,7 +58,6 @@ class CorrelationRow:
 class CorrelationReport:
     """Eigenvalue-ascending rows for one game space."""
 
-    gamespace: GameSpace
     rows: tuple[CorrelationRow, ...]
 
     @property
@@ -165,4 +164,4 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
                 vector=vecs[:, k],
             )
         )
-    return CorrelationReport(gamespace=gs, rows=tuple(rows))
+    return CorrelationReport(rows=tuple(rows))

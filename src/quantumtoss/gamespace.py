@@ -83,7 +83,6 @@ def _require_finite(gs: GameSpace, what: str, *arrays) -> None:
 class OperatorSet:
     """All operators of one game space, built consistently from its ladder."""
 
-    gamespace: GameSpace
     a_plus: np.ndarray
     a_minus: np.ndarray
     number: np.ndarray
@@ -109,7 +108,6 @@ def build_operators(gs: GameSpace) -> OperatorSet:
         precorrelation = 0.5 * (pi1 @ pi2 + pi2 @ pi1)
     _require_finite(gs, "pay-off operators", pi1, pi2, precorrelation)
     return OperatorSet(
-        gamespace=gs,
         a_plus=a_plus,
         a_minus=a_minus,
         number=a_plus @ a_minus,
@@ -160,7 +158,6 @@ class CommutatorAudit:
     convention); ``zero_sector_value`` is <0| [pi1, pi2] |0>.
     """
 
-    gamespace: GameSpace
     ladder_commutator: np.ndarray
     payoff_commutator: np.ndarray
     ladder_trace: complex
@@ -205,7 +202,6 @@ def audit_commutators(gs: GameSpace) -> CommutatorAudit:
     payoff_sign = int(np.sign(probe))
 
     return CommutatorAudit(
-        gamespace=gs,
         ladder_commutator=ladder_comm,
         payoff_commutator=payoff_comm,
         ladder_trace=complex(np.trace(ladder_comm)),

@@ -154,9 +154,6 @@ def matrix_json(m: np.ndarray) -> dict:
     return {"re": a.real.tolist(), "im": a.imag.tolist()}
 
 
-OPERATOR_ORDER = ("a_plus", "a_minus", "number", "pi1", "pi2", "precorrelation")
-
-
 def one_row(row: dict) -> dict:
     """The table of a single row, e.g. ``one_row(vars(result))``."""
     return {name: [value] for name, value in row.items()}
@@ -172,15 +169,16 @@ def concat_tables(tables: list[dict]) -> dict:
 
 
 def operator_rows(ops: OperatorSet) -> dict:
-    mats = [np.asarray(getattr(ops, name), dtype=complex) for name in OPERATOR_ORDER]
-    d = mats[0].shape[0]
+    """Every entry of every matrix, one matrix after another in field order."""
+    mats = {name: np.asarray(m, dtype=complex) for name, m in vars(ops).items()}
+    d = ops.number.shape[0]
     index = np.arange(d)
     return {
-        "matrix": [name for name in OPERATOR_ORDER for _ in range(d * d)],
+        "matrix": [name for name in mats for _ in range(d * d)],
         "row": np.repeat(index, d).tolist() * len(mats),
         "col": np.tile(index, d).tolist() * len(mats),
-        "re": np.concatenate([m.real.ravel() for m in mats]),
-        "im": np.concatenate([m.imag.ravel() for m in mats]),
+        "re": np.concatenate([m.real.ravel() for m in mats.values()]),
+        "im": np.concatenate([m.imag.ravel() for m in mats.values()]),
     }
 
 

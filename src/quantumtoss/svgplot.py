@@ -2,10 +2,13 @@
 
 The output is a pure function of the input series: fixed palette, fixed
 float formatting, no timestamps — identical input gives identical bytes.
+Series names, marker names and axis labels are XML-escaped (``&``, ``<``,
+``>``), so any text gives a well-formed document.
 """
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
 
@@ -21,6 +24,8 @@ MARGIN_TOP = 24
 MARGIN_BOTTOM = 56
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_MIDDLE = ' text-anchor="middle"'
+_DASH = ' stroke-dasharray="5,4"'
 
 
 @dataclass(frozen=True)
@@ -66,16 +71,26 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _tick_label(value: float) -> str:
-    return format(float(value), "g")
+def _line(x1, y1, x2, y2, color, width, extra="") -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{color}" stroke-width="{width}"{extra}/>'
+    )
+
+
+def _text(x, y, body, attrs="") -> str:
+    # html.escape makes the same three replacements as xml.sax.saxutils.escape,
+    # whose import pulls in urllib.request: about 30 ms and 7 MiB more
+    # start-up for every command (2-vCPU Linux VM)
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}"{attrs}>{html.escape(str(body), quote=False)}</text>'
 
 
 def render_svg(series, x_label: str = "", y_label: str = "", markers=()) -> str:
     """Standalone SVG 1.1 document: one polyline per series plus a legend.
 
-    ``series`` is a sequence of Series (each at least 2 points); ``markers``
-    is a sequence of MarkerGroup rendered as dashed vertical lines.  Raises
-    InputError on an empty series set.
+    ``series`` is a sequence of Series (each at least 2 finite points);
+    ``markers`` is a sequence of MarkerGroup rendered as dashed vertical
+    lines.  Raises InputError on an empty series set.
     """
     series = list(series)
     markers = list(markers)
@@ -87,24 +102,21 @@ def render_svg(series, x_label: str = "", y_label: str = "", markers=()) -> str:
         if not (np.all(np.isfinite(s.x)) and np.all(np.isfinite(s.y))):
             raise InputError(f"series {s.name!r} has non-finite values")
 
-    x_lo = min(float(np.min(s.x)) for s in series)
-    x_hi = max(float(np.max(s.x)) for s in series)
+    marks = [float(x) for m in markers for x in m.xs]
+    x_lo = min([float(np.min(s.x)) for s in series] + marks)
+    x_hi = max([float(np.max(s.x)) for s in series] + marks)
     y_lo = min(float(np.min(s.y)) for s in series)
     y_hi = max(float(np.max(s.y)) for s in series)
-    for m in markers:
-        for x in m.xs:
-            x_lo = min(x_lo, float(x))
-            x_hi = max(x_hi, float(x))
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    y_lo, y_hi = y_lo - pad, y_hi + pad
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    bottom = MARGIN_TOP + plot_h
 
     # scalars or whole arrays: the same operations in the same order
     def px(x):
@@ -118,81 +130,43 @@ def render_svg(series, x_label: str = "", y_label: str = "", markers=()) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        f'<g font-family="sans-serif" font-size="12" fill="#000000">',
-    ]
-
-    # axes box
-    parts.append(
+        '<g font-family="sans-serif" font-size="12" fill="#000000">',
         f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" '
         f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
-        'fill="none" stroke="#000000" stroke-width="1"/>'
-    )
-
+        'fill="none" stroke="#000000" stroke-width="1"/>',
+    ]
     for t in _nice_ticks(x_lo, x_hi):
         x = px(t)
-        y0 = MARGIN_TOP + plot_h
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(y0)}" x2="{_fmt(x)}" y2="{_fmt(y0 + 5)}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y0 + 18)}" text-anchor="middle">{_tick_label(t)}</text>'
-        )
+        parts.append(_line(x, bottom, x, bottom + 5, "#000000", 1))
+        parts.append(_text(x, bottom + 18, format(t, "g"), _MIDDLE))
     for t in _nice_ticks(y_lo, y_hi):
         y = py(t)
-        parts.append(
-            f'<line x1="{_fmt(MARGIN_LEFT - 5)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_LEFT)}" y2="{_fmt(y)}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" text-anchor="end">{_tick_label(t)}</text>'
-        )
-
+        parts.append(_line(MARGIN_LEFT - 5, y, MARGIN_LEFT, y, "#000000", 1))
+        parts.append(_text(MARGIN_LEFT - 8, y + 4, format(t, "g"), ' text-anchor="end"'))
     if x_label:
-        parts.append(
-            f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" y="{_fmt(HEIGHT - 12)}" '
-            f'text-anchor="middle">{x_label}</text>'
-        )
+        parts.append(_text(MARGIN_LEFT + plot_w / 2, HEIGHT - 12, x_label, _MIDDLE))
     if y_label:
-        cx = 18
-        cy = MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-            f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{y_label}</text>'
-        )
+        cx, cy = 18, MARGIN_TOP + plot_h / 2
+        rotate = f' transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})"'
+        parts.append(_text(cx, cy, y_label, _MIDDLE + rotate))
 
-    legend_entries = []
-    for idx, s in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
+    # one legend entry and one palette color per series, then per marker group
+    legend = [(s.name, "") for s in series] + [(m.name, _DASH) for m in markers]
+    colors = [PALETTE[k % len(PALETTE)] for k in range(len(legend))]
+    for s, color in zip(series, colors):
         xs = px(np.asarray(s.x)).tolist()
         ys = py(np.asarray(s.y)).tolist()
         points = " ".join(map("%.3f,%.3f".__mod__, zip(xs, ys)))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        legend_entries.append((s.name, color, "solid"))
-    for jdx, m in enumerate(markers):
-        color = PALETTE[(len(series) + jdx) % len(PALETTE)]
-        for x_val in m.xs:
-            x = px(float(x_val))
-            parts.append(
-                f'<line x1="{_fmt(x)}" y1="{_fmt(MARGIN_TOP)}" x2="{_fmt(x)}" '
-                f'y2="{_fmt(MARGIN_TOP + plot_h)}" stroke="{color}" stroke-width="1" '
-                'stroke-dasharray="5,4"/>'
-            )
-        legend_entries.append((m.name, color, "dashed"))
+    for m, color in zip(markers, colors[len(series):]):
+        for x in map(px, map(float, m.xs)):
+            parts.append(_line(x, MARGIN_TOP, x, bottom, color, 1, _DASH))
 
     lx = MARGIN_LEFT + plot_w - 180
-    ly = MARGIN_TOP + 12
-    for name, color, style in legend_entries:
-        dash = ' stroke-dasharray="5,4"' if style == "dashed" else ""
-        parts.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 26)}" y2="{_fmt(ly - 4)}" '
-            f'stroke="{color}" stroke-width="2"{dash}/>'
-        )
-        parts.append(f'<text x="{_fmt(lx + 32)}" y="{_fmt(ly)}">{name}</text>')
-        ly += 18
-
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    for k, ((name, dash), color) in enumerate(zip(legend, colors)):
+        ly = MARGIN_TOP + 12 + 18 * k
+        parts.append(_line(lx, ly - 4, lx + 26, ly - 4, color, 2, dash))
+        parts.append(_text(lx + 32, ly, name))
+    return "\n".join(parts + ["</g>", "</svg>"]) + "\n"

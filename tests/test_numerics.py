@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantumtoss import numerics as nx
-from quantumtoss.errors import InputError
+from quantumtoss.cli import run_cli
+from quantumtoss.errors import ConvergenceError, InputError
 from quantumtoss.gamespace import GameSpace, build_ladder, build_operators
 
 from oracles import dense_dekker_commutator, eigenvalues_oracle, eigenvector_oracle
@@ -319,3 +320,22 @@ def test_hermitian_eigen_extreme_scales_match_eigvalsh(scale):
         dec = nx.hermitian_eigen(m)
         ref = np.linalg.eigvalsh(m)
         assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_shape_errors_are_input_errors():
+    with pytest.raises(InputError, match="square matrix"):
+        nx.as_matrix(np.zeros((2, 3)))
+    with pytest.raises(InputError, match="dimension mismatch"):
+        nx.commutator(np.eye(2), np.eye(3))
+
+
+def test_failed_validation_names_its_measures_and_fails_the_cli(monkeypatch, capsys):
+    # vectors 1e-6 too long miss the orthonormality and completeness tolerance
+    fix_phase = nx._fix_phase
+    monkeypatch.setattr(nx, "_fix_phase", lambda vec: fix_phase(vec) * (1.0 + 1e-6))
+    with pytest.raises(ConvergenceError) as info:
+        nx.hermitian_eigen(random_hermitian(11, 6))
+    for measure in ("orthonormality", "residual", "bound", "completeness"):
+        assert measure in str(info.value)
+    assert run_cli(["spectrum", "--rounds", "3"]) == 1
+    assert capsys.readouterr().out == ""

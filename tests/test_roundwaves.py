@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from quantumtoss.errors import InputError
+from quantumtoss import roundwaves
+from quantumtoss.cli import run_cli
+from quantumtoss.errors import ConvergenceError, InputError
 from quantumtoss.roundwaves import (
     COMPARE_N_MAX,
     PEAKS_N_MAX,
@@ -441,3 +443,20 @@ def test_divergence_validation():
         divergence_scan("plane", [2.0, 4.0, 8.0, 1e160])
     with pytest.raises(InputError, match="1e-310 overflow"):
         divergence_scan("weyl", [0.1, 0.01, 0.001, 1e-310])
+
+
+def test_residual_and_divergence_reject_short_or_non_finite_input():
+    with pytest.raises(InputError, match="at least 3 grid points"):
+        eigenfunction_residual(0.0, "weyl", np.array([1.0, 2.0]))
+    with pytest.raises(InputError, match="must be finite"):
+        divergence_scan("weyl", [0.1, 0.01, np.nan, 1e-4])
+
+
+def test_density_peaks_rejects_a_point_that_is_not_a_maximum(monkeypatch, capsys):
+    # +0.6 moves the maximum of P_3 at -0.602 next to its zero at 0, a minimum
+    folded = roundwaves._folded_spectrum
+    monkeypatch.setattr(roundwaves, "_folded_spectrum", lambda m: folded(m) + 0.6)
+    with pytest.raises(ConvergenceError, match="is not a density maximum"):
+        density_peaks(3)
+    assert run_cli(["peaks", "--n", "3"]) == 1
+    assert capsys.readouterr().out == ""

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -803,3 +804,89 @@ def test_module_entry_point_matches_run_cli(capsys, argv, expected_code):
     assert proc.stderr.decode("utf-8") == err
     if expected_code:
         assert proc.stdout == b""
+
+
+# captured from the renderer before its elements went through one writer each
+GOLDEN_SVG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="500" viewBox="0 0 800 500">
+<rect x="0" y="0" width="800" height="500" fill="#ffffff"/>
+<g font-family="sans-serif" font-size="12" fill="#000000">
+<rect x="70.000" y="24.000" width="706.000" height="420.000" fill="none" stroke="#000000" stroke-width="1"/>
+<line x1="70.000" y1="444.000" x2="70.000" y2="449.000" stroke="#000000" stroke-width="1"/>
+<text x="70.000" y="462.000" text-anchor="middle">0</text>
+<line x1="211.200" y1="444.000" x2="211.200" y2="449.000" stroke="#000000" stroke-width="1"/>
+<text x="211.200" y="462.000" text-anchor="middle">2</text>
+<line x1="352.400" y1="444.000" x2="352.400" y2="449.000" stroke="#000000" stroke-width="1"/>
+<text x="352.400" y="462.000" text-anchor="middle">4</text>
+<line x1="493.600" y1="444.000" x2="493.600" y2="449.000" stroke="#000000" stroke-width="1"/>
+<text x="493.600" y="462.000" text-anchor="middle">6</text>
+<line x1="634.800" y1="444.000" x2="634.800" y2="449.000" stroke="#000000" stroke-width="1"/>
+<text x="634.800" y="462.000" text-anchor="middle">8</text>
+<line x1="776.000" y1="444.000" x2="776.000" y2="449.000" stroke="#000000" stroke-width="1"/>
+<text x="776.000" y="462.000" text-anchor="middle">10</text>
+<line x1="65.000" y1="424.909" x2="70.000" y2="424.909" stroke="#000000" stroke-width="1"/>
+<text x="62.000" y="428.909" text-anchor="end">0</text>
+<line x1="65.000" y1="348.545" x2="70.000" y2="348.545" stroke="#000000" stroke-width="1"/>
+<text x="62.000" y="352.545" text-anchor="end">0.2</text>
+<line x1="65.000" y1="272.182" x2="70.000" y2="272.182" stroke="#000000" stroke-width="1"/>
+<text x="62.000" y="276.182" text-anchor="end">0.4</text>
+<line x1="65.000" y1="195.818" x2="70.000" y2="195.818" stroke="#000000" stroke-width="1"/>
+<text x="62.000" y="199.818" text-anchor="end">0.6</text>
+<line x1="65.000" y1="119.455" x2="70.000" y2="119.455" stroke="#000000" stroke-width="1"/>
+<text x="62.000" y="123.455" text-anchor="end">0.8</text>
+<line x1="65.000" y1="43.091" x2="70.000" y2="43.091" stroke="#000000" stroke-width="1"/>
+<text x="62.000" y="47.091" text-anchor="end">1</text>
+<text x="423.000" y="488.000" text-anchor="middle">xi</text>
+<text x="18.000" y="234.000" text-anchor="middle" transform="rotate(-90 18.000 234.000)">density</text>
+<polyline points="70.000,424.909 423.000,43.091 776.000,234.000" fill="none" stroke="#1f77b4" stroke-width="1.5"/>
+<polyline points="70.000,43.091 423.000,329.455 776.000,424.909" fill="none" stroke="#d62728" stroke-width="1.5"/>
+<line x1="246.500" y1="24.000" x2="246.500" y2="444.000" stroke="#2ca02c" stroke-width="1" stroke-dasharray="5,4"/>
+<line x1="599.500" y1="24.000" x2="599.500" y2="444.000" stroke="#2ca02c" stroke-width="1" stroke-dasharray="5,4"/>
+<line x1="596.000" y1="32.000" x2="622.000" y2="32.000" stroke="#1f77b4" stroke-width="2"/>
+<text x="628.000" y="36.000">round 1 density</text>
+<line x1="596.000" y1="50.000" x2="622.000" y2="50.000" stroke="#d62728" stroke-width="2"/>
+<text x="628.000" y="54.000">classical walk n=1</text>
+<line x1="596.000" y1="68.000" x2="622.000" y2="68.000" stroke="#2ca02c" stroke-width="2" stroke-dasharray="5,4"/>
+<text x="628.000" y="72.000">quantum peaks</text>
+</g>
+</svg>
+"""
+
+
+def test_render_svg_golden_figure():
+    xs = np.array([0.0, 5.0, 10.0])
+    series = [
+        Series("round 1 density", xs, np.array([0.0, 1.0, 0.5])),
+        Series("classical walk n=1", xs, np.array([1.0, 0.25, 0.0])),
+    ]
+    markers = [MarkerGroup("quantum peaks", (2.5, 7.5))]
+    assert render_svg(series, x_label="xi", y_label="density", markers=markers) == GOLDEN_SVG
+
+
+def test_render_svg_escapes_names_and_labels():
+    xs = np.linspace(0.0, 1.0, 5)
+    names = ["P & Q", "<a> b", "x > y && z"]
+    doc = render_svg(
+        [Series(names[0], xs, xs), Series(names[1], xs, 1.0 - xs)],
+        x_label="xi < 1 & more",
+        y_label="<density>",
+        markers=[MarkerGroup(names[2], (0.5,))],
+    )
+    svg = "{http://www.w3.org/2000/svg}"
+    texts = [t.text for t in ElementTree.fromstring(doc.encode()).iter(f"{svg}text")]
+    assert texts[-5:] == ["xi < 1 & more", "<density>", *names]
+
+
+def test_render_svg_rejects_non_finite_series():
+    xs = np.linspace(0.0, 1.0, 4)
+    with pytest.raises(InputError, match="non-finite"):
+        render_svg([Series("bad", xs, np.array([0.0, np.nan, 1.0, 2.0]))])
+
+
+@pytest.mark.parametrize("cutoffs", ["-2,4,8,16", "-1e-3,+2,inf,8"])
+def test_cutoff_list_starting_with_a_minus_sign(capsys, cutoffs):
+    # rejected for its values, not read as an option that leaves --cutoffs empty
+    joined = run(capsys, "diverge", "--kind", "plane", f"--cutoffs={cutoffs}")
+    assert joined[0] == 2 and "expected one argument" not in joined[2], joined[2]
+    assert run(capsys, "diverge", "--kind", "plane", "--cutoffs", cutoffs) == joined
