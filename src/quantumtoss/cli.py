@@ -53,10 +53,10 @@ PROG = "quantumtoss"
 # took 20-21 s in periodic mode (8-12 s finite) on a 2-vCPU Linux VM
 SWEEP_ROUNDS_MAX = 128
 # argparse reads only -12 and -1.5 as negative numbers, and -1e-3, -inf or
-# -2,4 as an option; this also takes exponents and inf, infinity and nan in
-# any case, and a comma-separated list (--cutoffs) whose first number is negative
-_NUMBER = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)"
-_NEGATIVE_NUMBER = re.compile(rf"(?i)^-{_NUMBER}(,[-+]?{_NUMBER})*$")
+# -2,4 as an option; this takes every argument that starts with a minus sign
+# and a digit, a point, inf or nan (any case) as a value, so a malformed one
+# such as -2,x reaches its own type check
+_NEGATIVE_NUMBER = re.compile(r"(?i)^-(\d|\.|inf|nan)")
 
 
 def _cutoff_list(text: str) -> tuple[float, ...]:

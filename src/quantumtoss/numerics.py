@@ -4,14 +4,15 @@ Matrices are plain ``complex128`` numpy arrays; all functions treat their
 arguments as immutable and return fresh arrays.  Besides validation
 (``as_matrix``, ``as_state``, ``as_int`` and ``as_real``), the
 adjoint, norms and expectation values, the module has an error-free (Dekker)
-commutator and a self-contained Hermitian eigensolver (complex Jacobi sweeps
-in a fixed round-robin ordering, each step a batch of disjoint rotations), so
+commutator and a self-contained Hermitian eigensolver (Householder reduction
+to a real tridiagonal matrix, then implicit QL with Wilkinson shifts), so
 that its rotation order, tie-breaking and phase convention are fully pinned
 down and runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ EIGEN_TOL = 1e-10
 EIGEN_DIM_MAX = 512
 STATE_NORM_TOL = 1e-12
 
-_MAX_SWEEPS = 60
+_MAX_QL_ITERATIONS = 30
 
 
 def as_int(value, name: str, lo: int, hi: int | None = None) -> int:
@@ -159,82 +160,137 @@ def norm_inf(m) -> float:
 class SpectralDecomposition:
     """Real eigenvalues (ascending) with orthonormal eigenvector columns.
 
-    ``vectors[:, k]`` pairs with ``eigenvalues[k]``.  ``sweeps`` is the
-    number of Jacobi sweeps the solver ran (0 for a diagonal matrix).
+    ``vectors[:, k]`` pairs with ``eigenvalues[k]``.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    sweeps: int
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One sweep of the round-robin parallel ordering (Brent & Luk, 1985).
-
-    Index 0 stays put while 1 .. m-1 (m = n rounded up to even) turn one
-    place per step, so each of the m - 1 steps pairs every index with a
-    fresh partner and the sweep meets every pair exactly once.  Pairs with
-    the padding index of odd n are dropped.  Each step is (p, q) index
-    arrays with p < q, disjoint within the step.
-    """
-    m = n + n % 2
-    ring = np.arange(1, m)
-    steps = []
-    for r in range(m - 1):
-        order = np.concatenate(([0], np.roll(ring, -r)))
-        a, b = order[: m // 2], order[: m // 2 - 1 : -1]
-        p, q = np.minimum(a, b), np.maximum(a, b)
-        keep = q < n
-        steps.append((p[keep], q[keep]))
-    return steps
+def _phase(z: np.ndarray) -> np.ndarray:
+    # z / |z| entrywise, 1 where z == 0; real divisions, since numpy's complex
+    # division forms 1/|z|, which overflows for a subnormal |z|
+    r = np.abs(z)
+    safe = np.where(r > 0, r, 1.0)
+    return np.where(r > 0, z.real / safe + 1j * (z.imag / safe), 1.0)
 
 
-def _jacobi_hermitian(a: np.ndarray, scale: float):
-    """Parallel-ordered Jacobi on a complex Hermitian matrix (left unchanged).
+def _householder_tridiagonal(a: np.ndarray):
+    """Reduce a complex Hermitian matrix to a real symmetric tridiagonal one.
 
-    Each step annihilates the (p, q) entries of up to n/2 disjoint pairs at
-    once with U = diag(1, e^{-i phi}) G: the phase turns a_pq real, the real
-    Givens rotation G zeroes it.  U is applied to the columns and rows of
-    ``a`` and to the columns of the accumulated V.  Returns (diagonal, V,
-    sweeps); raises ConvergenceError with the final off-diagonal norm if
-    _MAX_SWEEPS sweeps do not suffice.
+    Returns (diagonal, off-diagonal, Q) with Q unitary and Q^H a Q the real
+    tridiagonal matrix.  Column k is reflected only if an entry below its
+    subdiagonal is nonzero, so a tridiagonal input passes through untouched;
+    one diagonal phase then turns every subdiagonal entry into its modulus.
     """
     n = a.shape[0]
-    w = np.concatenate((a, np.eye(n, dtype=complex)))  # [a; V]: both take x <- x U
-    a, v = w[:n], w[n:]
-    steps = _round_robin(n)
-    off = 0.0
-    for sweep in range(_MAX_SWEEPS):
-        offmat = a - np.diag(np.diag(a))
-        off = float(np.sqrt(np.sum(offmat.real**2 + offmat.imag**2)))
-        if off <= 1e-14 * scale:
-            return np.diag(a).real.copy(), v, sweep
-        for p, q in steps:
-            app = a[p, p].real
-            aqq = a[q, q].real
-            apq = a[p, q]
-            r = np.abs(apq)
-            live = r > 1e-300
-            rs = np.where(live, r, 1.0)
-            theta = (aqq - app) / (2.0 * rs)
-            t = np.where(live, np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0)), 0.0)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            e = np.where(live, apq.conj() / rs, 1.0)  # e^{-i phi}
-            es, ec = e * s, e * c
-            wp, wq = w[:, p], w[:, q]  # columns: a <- a U, V <- V U
-            w[:, p] = wp * c - wq * es
-            w[:, q] = wp * s + wq * ec
-            ap, aq = a[p, :], a[q, :]  # rows: a <- U^H a
-            a[p, :] = c[:, None] * ap - es.conj()[:, None] * aq
-            a[q, :] = s[:, None] * ap + ec.conj()[:, None] * aq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a[p, p] = app - t * r
-            a[q, q] = aqq + t * r
-    raise ConvergenceError(
-        f"Jacobi sweeps did not converge: off-diagonal norm {off:.3e}", residual=off
-    )
+    a = a.copy()
+    q = np.eye(n, dtype=complex)
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        if not np.any(x[1:]):
+            continue
+        size = float(np.max(np.abs(x)))
+        v = x.real / size + 1j * (x.imag / size)  # largest entry 1: no under- or overflow
+        head = _phase(v[:1])[0]
+        norm = np.linalg.norm(v)
+        v[0] += head * norm  # alpha = -head |x| opposes x[0]'s phase: no cancellation
+        alpha = -head * (norm * size)
+        v /= np.linalg.norm(v)  # the reflector I - 2 v v^H maps x to alpha e_0
+        b = a[k + 1 :, k + 1 :]
+        p = b @ v
+        w = 2.0 * (p - (v.conj() @ p).real * v)
+        b -= np.outer(v, w.conj()) + np.outer(w, v.conj())  # b <- H b H
+        x[:] = 0.0
+        x[0] = alpha
+        qk = q[:, k + 1 :]
+        qk -= np.outer(2.0 * (qk @ v), v.conj())  # q <- q H
+    sub = np.diag(a, -1)
+    phase = np.cumprod(np.concatenate(([1.0], _phase(sub))))
+    return np.diag(a).real.copy(), np.abs(sub), q * phase
+
+
+def _chase_factor(c: list[float], s: list[float]) -> np.ndarray:
+    """The product of one QL chase's plane rotations, as one matrix.
+
+    Rotation t (t = 0 .. k-1) takes columns (t, t+1) to (c_t z_t - s_t
+    z_{t+1}, s_t z_t + c_t z_{t+1}); they are applied from t = k-1 down to
+    0.  Their product P is lower Hessenberg,
+    P[a, b] = c_{b-1} c_a prod_{t=b}^{a-1} (-s_t) for a >= b (with
+    c_{-1} = c_k = 1) and P[b-1, b] = s_{b-1}, so z <- z P updates the
+    eigenvector block in one matrix product.
+    """
+    k = len(c)
+    idx = np.arange(k + 1)
+    below = idx[:, None] > idx[None, :]
+    factors = np.where(below, -np.array([1.0, *s])[:, None], 1.0)  # row a holds -s_{a-1}
+    chain = np.tril(np.cumprod(factors, axis=0))
+    cosines = np.array([1.0, *c, 1.0])
+    p = chain * cosines[1:, None] * cosines[None, :-1]
+    p[idx[:-1], idx[1:]] = s
+    return p
+
+
+def _implicit_ql(d: list[float], e: list[float]):
+    """Eigenvalues and real eigenvectors of a symmetric tridiagonal matrix.
+
+    Implicit QL with Wilkinson shifts (tql2, Bowdler, Martin, Reinsch &
+    Wilkinson 1968) on the diagonal d and the couplings e (e[i] joins i and
+    i + 1), both Python floats, changed in place.  A coupling at most 2^-52
+    of the largest |d_i| + |e_i| counts as zero.  Returns (d, Z) with the
+    eigenvalues unsorted and Z's columns their eigenvectors; raises
+    ConvergenceError with the coupling left if an eigenvalue takes more
+    than _MAX_QL_ITERATIONS chases.
+    """
+    n = len(d)
+    e = [*e, 0.0]
+    z = np.eye(n)
+    tol = 2.0**-52 * max(abs(x) + abs(y) for x, y in zip(d, e))
+    for l in range(n):
+        for iteration in range(_MAX_QL_ITERATIONS + 1):
+            m = l
+            while m < n - 1 and abs(e[m]) > tol:
+                m += 1
+            if m == l:
+                break
+            if iteration == _MAX_QL_ITERATIONS:
+                raise ConvergenceError(
+                    f"QL iteration did not converge in {_MAX_QL_ITERATIONS} chases: "
+                    f"coupling {abs(e[l]):.3e} at index {l} of the unit-scaled matrix",
+                    residual=abs(e[l]),
+                )
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))  # Wilkinson shift
+            s = c = 1.0
+            p = 0.0
+            cs, ss = [], []
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # the chase splits the matrix: stop it here
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                cs.append(c)
+                ss.append(s)
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+            if cs:
+                lo = m - len(cs)
+                z[:, lo : m + 1] = z[:, lo : m + 1] @ _chase_factor(cs[::-1], ss[::-1])
+    return np.array(d), z
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -248,17 +304,19 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 def hermitian_eigen(m) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
-    The matrix, scaled to unit size by an exact power of two, is rotated
-    directly by complex Jacobi sweeps in the fixed round-robin ordering, each
-    step a batch of disjoint phase-times-Givens rotations, until the
-    off-diagonal Frobenius norm is below 1e-14 of the whole.  Eigenvalues are
-    returned ascending (stable sort); each eigenvector's first significant
-    component has phase 0, so identical inputs give identical output bytes.
-    ``sweeps`` counts the sweeps run.
+    The matrix, scaled to unit size by an exact power of two, is reduced by
+    Householder reflections to a real symmetric tridiagonal matrix (columns
+    already tridiagonal are skipped, so a tridiagonal input needs only a
+    diagonal phase), which implicit QL with Wilkinson shifts diagonalizes;
+    the QL rotations accumulate in a real matrix that is multiplied into the
+    unitary reduction once.  Eigenvalues are returned ascending (stable
+    sort); each eigenvector's first significant component has phase 0, so
+    identical inputs give identical output bytes.
 
     Raises InputError for non-Hermitian input or dimension above
-    EIGEN_DIM_MAX, ConvergenceError if sweeps stall or the decomposition
-    fails its own residual/orthonormality/completeness checks at EIGEN_TOL.
+    EIGEN_DIM_MAX, ConvergenceError if the QL iteration stalls or the
+    decomposition fails its own residual/orthonormality/completeness checks
+    at EIGEN_TOL.
     """
     m = as_matrix(m)
     n = m.shape[0]
@@ -274,17 +332,17 @@ def hermitian_eigen(m) -> SpectralDecomposition:
     # fold the sub-tolerance asymmetry away after scaling, where the sum
     # cannot overflow
     unit = (unit + unit.conj().T) / 2.0
-    scale = float(np.sqrt(np.sum(unit.real**2 + unit.imag**2)))
 
-    lam, vecs, sweeps = _jacobi_hermitian(unit, scale)
+    diagonal, couplings, q = _householder_tridiagonal(unit)
+    lam, z = _implicit_ql(diagonal.tolist(), couplings.tolist())
     order = np.argsort(lam, kind="stable")
-    eigenvalues = np.ldexp(lam[order], e)
-    vecs = vecs[:, order]
+    lam = lam[order]
+    vecs = q @ z[:, order]
     for k in range(n):
         vecs[:, k] = _fix_phase(vecs[:, k])
 
-    _check_decomposition(unit, lam[order], vecs, e)
-    return SpectralDecomposition(eigenvalues, vecs, sweeps=sweeps)
+    _check_decomposition(unit, lam, vecs, e)
+    return SpectralDecomposition(np.ldexp(lam, e), vecs)
 
 
 def _check_decomposition(unit, lam, vecs, e):
@@ -301,7 +359,7 @@ def _check_decomposition(unit, lam, vecs, e):
     completeness = vecs @ vecs.conj().T - np.eye(n)
     resolution = float(np.max(np.sum(np.abs(completeness), axis=1)))
     bound = EIGEN_TOL * (np.ldexp(1.0, -e) + norm_inf(unit))
-    if orth > EIGEN_TOL or resid > bound or resolution > EIGEN_TOL:
+    if not (orth <= EIGEN_TOL and resid <= bound and resolution <= EIGEN_TOL):  # nan fails too
         resid, bound = float(np.ldexp(resid, e)), float(np.ldexp(bound, e))
         raise ConvergenceError(
             "spectral decomposition failed validation: "

@@ -3,12 +3,16 @@
 The eigenvalue oracle goes through the characteristic polynomial
 (Faddeev-LeVerrier) and a derivative-chain bisection root finder, with
 inverse iteration for eigenvectors; it shares no code with the package's
-Jacobi solver.  Intended for dimension <= 4 with (at most doubly)
-degenerate spectra.  ``dense_dekker_commutator`` is the full-width Dekker
-row loop that the package's row-sparse commutator must match byte for byte,
-and ``correlation_value`` the one-state form of the spectrum's correlation
-column.
+Householder-QL solver.  Intended for dimension <= 4 with (at most doubly)
+degenerate spectra.  ``sturm_count`` counts the eigenvalues below a point
+of a zero-diagonal symmetric tridiagonal matrix exactly, in rational
+arithmetic, at any dimension.  ``dense_dekker_commutator`` is the
+full-width Dekker row loop that the package's row-sparse commutator must
+match byte for byte, and ``correlation_value`` the one-state form of the
+spectrum's correlation column.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -182,3 +186,26 @@ def correlation_value(state, pi1, pi2, pc):
         return (s.conj() @ (np.asarray(m) @ s)).real
 
     return float(mean(pc) - mean(pi1) * mean(pi2))
+
+
+def sturm_count(squared_couplings, x):
+    """Exact number of eigenvalues below x of a zero-diagonal tridiagonal matrix.
+
+    The matrix is real symmetric with couplings b_i, given squared as
+    Fractions; x is any rational.  The count is the number of negative
+    pivots of the LDL^T factorization of T - x I (Sylvester's law of
+    inertia): q_0 = -x, q_i = -x - b_{i-1}^2 / q_{i-1}, all in exact
+    arithmetic.  A zero pivot is read as +0, which makes the next pivot
+    -inf (None here) and the one after it -x again.
+    """
+    x = Fraction(x)
+    count, pivot = 0, -x
+    for b2 in squared_couplings:
+        count += pivot is None or pivot < 0
+        if pivot is None:
+            pivot = -x
+        elif pivot == 0:
+            pivot = None
+        else:
+            pivot = -x - b2 / pivot
+    return count + (pivot is None or pivot < 0)

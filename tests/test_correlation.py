@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from quantumtoss.errors import ConvergenceError, InputError
 from quantumtoss.gamespace import GameSpace, build_operators
 from quantumtoss.numerics import hermitian_eigen
 
-from oracles import correlation_value
+from oracles import correlation_value, sturm_count
 
 SQRT_HALF = math.sqrt(0.5)
 PEARSON_DIM3 = 2.0 * math.sqrt(2.0) / 3.0
@@ -332,3 +333,47 @@ def test_finite_payoff_expectations_vanish_property(rounds):
     # finite-mode eigenstates are parity-pure and pi_j flips parity
     for row in correlation_spectrum(GameSpace(rounds)).rows:
         assert row.exp_pi1 == 0.0 and row.exp_pi2 == 0.0
+
+
+@pytest.mark.parametrize("mode", ["finite", "periodic"])
+def test_spectrum_at_the_eigen_ceiling_matches_eigvalsh_and_reruns_identically(mode):
+    # rounds 511: dimension 512, the largest the eigensolver takes, split into
+    # two parity blocks of 256 in both modes
+    gs = GameSpace(511, mode)
+    first = correlation_spectrum(gs)
+    pc = build_operators(gs).precorrelation
+    lam = first.eigenvalues
+    np.testing.assert_allclose(lam, np.linalg.eigvalsh(pc), rtol=0, atol=1e-9)
+    vecs = np.stack([row.vector for row in first.rows], axis=1)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(512))) <= 1e-10
+    resid = np.max(np.linalg.norm(pc @ vecs - vecs * lam, axis=0))
+    assert resid <= 1e-10 * (1.0 + float(np.max(np.sum(np.abs(pc), axis=1))))
+    second = correlation_spectrum(gs)
+    assert second.eigenvalues.tobytes() == lam.tobytes()
+    assert np.stack([row.vector for row in second.rows], axis=1).tobytes() == vecs.tobytes()
+
+
+def test_sturm_count_oracle_matches_eigvalsh():
+    # odd dimension: 0 is an eigenvalue and the first pivot at x = 0 is zero
+    for squared in ([Fraction(1), Fraction(1)], [Fraction(k * k + 1, 3) for k in range(6)]):
+        t = np.diag(np.sqrt([float(b) for b in squared]), 1)
+        lam = np.linalg.eigvalsh(t + t.T)
+        for x in (-10, -1, 0, Fraction(1, 10**9), Fraction(7, 5), 10):
+            assert sturm_count(squared, x) == int(np.sum(lam < float(x) - 1e-12))
+
+
+@pytest.mark.parametrize("rounds", [127, 255])
+def test_finite_spectrum_sits_at_its_exact_sturm_counts(rounds):
+    # after a diagonal phase each finite parity block of PC is a real
+    # zero-diagonal Jacobi matrix with squared couplings (n+1)(n+2)/4 between
+    # states n and n + 2, so exact rational counts place every eigenvalue
+    # within 1e-9 at its index, with no eigensolver involved
+    delta = Fraction(1, 10**9)
+    report = correlation_spectrum(GameSpace(rounds))
+    for parity, start in (("even", 0), ("odd", 1)):
+        lam = [row.eigenvalue for row in report.rows if row.parity == parity]
+        squared = [Fraction((n + 1) * (n + 2), 4) for n in range(start, rounds - 1, 2)]
+        assert len(lam) == len(squared) + 1 == (rounds + 1) // 2
+        for k, value in enumerate(lam):
+            assert sturm_count(squared, Fraction(value) - delta) <= k
+            assert sturm_count(squared, Fraction(value) + delta) >= k + 1

@@ -287,25 +287,12 @@ def test_hermitian_eigen_precorrelation_matches_eigvalsh(rounds, mode):
     pc = build_operators(GameSpace(rounds, mode=mode)).precorrelation
     dec = nx.hermitian_eigen(pc)
     np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(pc), atol=1e-9)
-    assert 1 <= dec.sweeps <= 12
 
 
 def test_hermitian_eigen_zero_matrix_needs_no_sweep():
     dec = nx.hermitian_eigen(np.zeros((3, 3)))
     np.testing.assert_array_equal(dec.eigenvalues, np.zeros(3))
     np.testing.assert_array_equal(dec.vectors, np.eye(3))
-    assert dec.sweeps == 0
-
-
-def test_round_robin_sweep_meets_every_pair_once():
-    import itertools
-
-    for n in (1, 2, 5, 16, 37):
-        steps = nx._round_robin(n)
-        pairs = [(int(p), int(q)) for ps, qs in steps for p, q in zip(ps, qs)]
-        assert sorted(pairs) == list(itertools.combinations(range(n), 2))
-        for ps, qs in steps:  # rotations of one step touch disjoint indices
-            assert len(set(ps.tolist()) | set(qs.tolist())) == 2 * len(ps)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170])
@@ -339,3 +326,128 @@ def test_failed_validation_names_its_measures_and_fails_the_cli(monkeypatch, cap
         assert measure in str(info.value)
     assert run_cli(["spectrum", "--rounds", "3"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def assert_eigenpairs_match_eigvalsh(m, dec):
+    # eigvalsh is a test oracle only; the bounds are those of the invariants test
+    dim = m.shape[0]
+    np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(m), rtol=0, atol=1e-9)
+    gram = dec.vectors.conj().T @ dec.vectors
+    assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
+    resid = np.max(np.linalg.norm(m @ dec.vectors - dec.vectors * dec.eigenvalues, axis=0))
+    assert resid <= 1e-10 * (1.0 + nx.norm_inf(m))
+    completeness = dec.vectors @ dec.vectors.conj().T - np.eye(dim)
+    assert np.max(np.sum(np.abs(completeness), axis=1)) <= 1e-10
+
+
+def random_tridiagonal(rng, dim):
+    """Complex Hermitian tridiagonal matrix with random diagonal and couplings."""
+    couplings = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
+    return np.diag(rng.normal(size=dim)) + np.diag(couplings, -1) + np.diag(couplings.conj(), 1)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), dim=st.integers(1, 16))
+def test_hermitian_eigen_tridiagonal_inputs(seed, dim):
+    m = random_tridiagonal(np.random.default_rng(seed), dim)
+    assert_eigenpairs_match_eigvalsh(m, nx.hermitian_eigen(m))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), dim=st.integers(2, 16), data=st.data())
+def test_hermitian_eigen_tridiagonal_with_an_exact_split(seed, dim, data):
+    m = random_tridiagonal(np.random.default_rng(seed), dim)
+    k = data.draw(st.integers(0, dim - 2))
+    m[k + 1, k] = m[k, k + 1] = 0.0
+    dec = nx.hermitian_eigen(m)
+    assert_eigenpairs_match_eigvalsh(m, dec)
+    # each eigenvector lives on one side of the split
+    top = np.linalg.norm(dec.vectors[: k + 1], axis=0)
+    bottom = np.linalg.norm(dec.vectors[k + 1 :], axis=0)
+    assert np.all(np.minimum(top, bottom) <= 1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    dim=st.integers(1, 16),
+    values=st.lists(st.sampled_from([-1.0, 0.0, 2.0]), min_size=1, max_size=3),
+)
+def test_hermitian_eigen_degenerate_inputs(seed, dim, values):
+    rng = np.random.default_rng(seed)
+    identity = np.eye(dim) * values[0]
+    repeated = np.diag(rng.choice(values, size=dim)).astype(complex)
+    # a constant diagonal with constant couplings: every diagonal entry repeated
+    toeplitz = values[0] * np.eye(dim) + np.eye(dim, k=1) + np.eye(dim, k=-1)
+    for m in (identity, repeated, toeplitz):
+        assert_eigenpairs_match_eigvalsh(m, nx.hermitian_eigen(m))
+    dec = nx.hermitian_eigen(identity)
+    np.testing.assert_array_equal(dec.vectors, np.eye(dim))
+
+
+def test_hermitian_eigen_wilkinson_w21_plus():
+    # W21+: diagonal |10 - k|, unit couplings; its top eigenvalues pair up to
+    # about 1e-14, yet their eigenvectors stay orthogonal
+    w = np.diag(np.abs(np.arange(-10.0, 11.0))) + np.eye(21, k=1) + np.eye(21, k=-1)
+    dec = nx.hermitian_eigen(w)
+    assert_eigenpairs_match_eigvalsh(w, dec)
+    lam = dec.eigenvalues
+    assert 0 < lam[-1] - lam[-2] <= 1e-13
+    assert abs(lam[-1] - 10.746194182903393) <= 1e-13
+
+
+def test_householder_passes_tridiagonal_input_through_with_phases_only():
+    m = random_tridiagonal(np.random.default_rng(3), 9)
+    diagonal, couplings, q = nx._householder_tridiagonal(m)
+    np.testing.assert_array_equal(diagonal, np.diag(m).real)
+    np.testing.assert_array_equal(couplings, np.abs(np.diag(m, -1)))
+    np.testing.assert_array_equal(q, np.diag(np.diag(q)))
+    np.testing.assert_allclose(np.abs(np.diag(q)), 1.0, rtol=0, atol=1e-15)
+
+
+def test_householder_reduces_a_full_matrix_to_its_tridiagonal_form():
+    m = random_hermitian(13, 8)
+    diagonal, couplings, q = nx._householder_tridiagonal(m)
+    t = np.diag(diagonal) + np.diag(couplings, 1) + np.diag(couplings, -1)
+    np.testing.assert_allclose(q.conj().T @ m @ q, t, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(8), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_chase_factor_is_the_product_of_its_rotations(k):
+    theta = np.random.default_rng(k).uniform(0.0, 2.0 * np.pi, k)
+    c, s = np.cos(theta), np.sin(theta)
+    product = np.eye(k + 1)
+    for t in range(k - 1, -1, -1):  # rotation k-1 is applied first
+        rotation = np.eye(k + 1)
+        rotation[t : t + 2, t : t + 2] = [[c[t], s[t]], [-s[t], c[t]]]
+        product = product @ rotation
+    np.testing.assert_allclose(nx._chase_factor(list(c), list(s)), product, rtol=0, atol=1e-15)
+
+
+def test_ql_iteration_cap_is_a_convergence_error(monkeypatch):
+    monkeypatch.setattr(nx, "_MAX_QL_ITERATIONS", 0)
+    with pytest.raises(ConvergenceError, match="QL iteration did not converge") as info:
+        nx.hermitian_eigen(random_tridiagonal(np.random.default_rng(1), 5))
+    assert info.value.residual > 0
+
+
+@pytest.mark.parametrize("tiny", [1e-170, 1e-300, 1e-310, 5e-324])
+def test_hermitian_eigen_tiny_entries_below_the_subdiagonal(tiny):
+    # reflecting a column of tiny or subnormal entries must neither underflow
+    # its norm nor overflow a phase to nan
+    t = tiny
+    for m in (
+        np.array([[1, t, 1j * t, t], [t, 2, 0, 0], [-1j * t, 0, 3, 0], [t, 0, 0, 0.5]]),
+        np.array([[1e-300, t, 1j * t], [t, 0, 0], [-1j * t, 0, 0]]),
+    ):
+        dec = nx.hermitian_eigen(m)
+        ref = np.linalg.eigvalsh(m)
+        assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_failed_validation_catches_nan_vectors(monkeypatch):
+    # every comparison with nan is false, so the check must fail unless all pass
+    monkeypatch.setattr(nx, "_fix_phase", lambda vec: vec * np.nan)
+    with pytest.raises(ConvergenceError, match="orthonormality nan"):
+        nx.hermitian_eigen(random_hermitian(11, 4))

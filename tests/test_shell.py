@@ -890,3 +890,11 @@ def test_cutoff_list_starting_with_a_minus_sign(capsys, cutoffs):
     joined = run(capsys, "diverge", "--kind", "plane", f"--cutoffs={cutoffs}")
     assert joined[0] == 2 and "expected one argument" not in joined[2], joined[2]
     assert run(capsys, "diverge", "--kind", "plane", "--cutoffs", cutoffs) == joined
+
+
+@pytest.mark.parametrize("cutoffs", ["-2,x", "-.5,4,y", "-inf,", "-NaN,8,16,32"])
+def test_malformed_cutoff_list_starting_with_a_minus_sign(capsys, cutoffs):
+    # a value that starts like a negative number reaches the list's own check
+    joined = run(capsys, "diverge", "--kind", "plane", f"--cutoffs={cutoffs}")
+    assert joined[0] == 2 and "expected one argument" not in joined[2], joined[2]
+    assert run(capsys, "diverge", "--kind", "plane", "--cutoffs", cutoffs) == joined
