@@ -8,12 +8,7 @@ pay-off product, and carries out the wave-picture analysis of per-round
 densities against the classical random walk.
 """
 
-from .correlation import (
-    CorrelationReport,
-    CorrelationRow,
-    correlation_spectrum,
-    sign_classification,
-)
+from .correlation import CorrelationReport, CorrelationRow, correlation_spectrum
 from .errors import ConvergenceError, InputError
 from .gamespace import (
     CommutatorAudit,
@@ -45,11 +40,8 @@ from .roundwaves import (
     density_grid,
     density_peaks,
     divergence_scan,
-    eigenfunction_residual,
-    hermite,
     hermite_zeros,
     psi,
-    schrodinger_residual,
 )
 
 __version__ = "0.1.0"

@@ -10,13 +10,12 @@ finite mode and "mixed" throughout periodic mode.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .gamespace import GameSpace, build_operators
+from .gamespace import GameSpace, _check_kappa_product, build_operators
 from .numerics import STATE_NORM_TOL, hermitian_eigen
 
 ZERO_BAND = 1e-10
@@ -65,11 +64,6 @@ class CorrelationReport:
         return np.array([row.eigenvalue for row in self.rows])
 
 
-def sign_classification(report: CorrelationReport) -> tuple[int, ...]:
-    """Sign classes of the report's rows, in row order (taken at kappa = 1)."""
-    return tuple(row.sign_class for row in report.rows)
-
-
 def _column_means(vecs: np.ndarray, images: np.ndarray) -> np.ndarray:
     """Re <v_k| M |v_k> for every column, given images = M @ vecs."""
     return np.sum(vecs.conj() * images, axis=0).real
@@ -89,17 +83,15 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
     mode, at odd N in periodic mode) the parity blocks are diagonalized
     separately, else the full matrix; the mode only picks the row labels,
     "even"/"odd" in finite mode and "mixed" in periodic mode.  Raises
-    InputError up front if kappa1 kappa2 overflows, and after the
-    diagonalization if the kappa scaling overflows a statistic (GameSpace
-    itself caps the dimension at EIGEN_DIM_MAX); ConvergenceError if an
-    eigenvector comes back unnormalized.
+    InputError up front if kappa1 kappa2 overflows or falls below the
+    smallest normal double, and after the diagonalization if the kappa
+    scaling overflows a statistic (GameSpace itself caps the dimension at
+    EIGEN_DIM_MAX); ConvergenceError if an eigenvector comes back
+    unnormalized.
     """
+    # before any work: at rounds 0 and 1 PC is zero, and inf * 0 would warn
+    _check_kappa_product(gs)
     k1, k2 = gs.kappa1, gs.kappa2
-    # an inf product would scale every eigenvalue to +-inf or nan, so reject
-    # it before any work (at rounds 0 and 1 PC is zero and inf * 0 warns);
-    # GameSpace stores Python floats, which overflow without a numpy warning
-    if math.isinf(k1 * k2):
-        raise InputError(f"kappa1 = {k1:.3e}, kappa2 = {k2:.3e} overflow their product")
     dim = gs.dim
     ops = build_operators(GameSpace(gs.rounds_max, gs.mode))
     pc = ops.precorrelation

@@ -10,6 +10,7 @@ product — is built from it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,23 @@ def _require_finite(gs: GameSpace, what: str, *arrays) -> None:
         )
 
 
+def _check_kappa_product(gs: GameSpace) -> None:
+    """InputError if kappa1 kappa2 overflows or falls below the smallest normal double.
+
+    Every result scaled by the product would be lost to inf and nan, or to
+    subnormals and 0, so the input is rejected before any work.  The kappas
+    are Python floats, so the product overflows without a numpy warning.
+    """
+    k1, k2 = gs.kappa1, gs.kappa2
+    if math.isinf(k1 * k2):
+        raise InputError(f"kappa1 = {k1:.3e}, kappa2 = {k2:.3e} overflow their product")
+    if k1 * k2 < sys.float_info.min:
+        raise InputError(
+            f"kappa1 = {k1:.3e}, kappa2 = {k2:.3e} underflow their product "
+            f"{k1 * k2:.3e} below the smallest normal double {sys.float_info.min:.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class OperatorSet:
     """All operators of one game space, built consistently from its ladder."""
@@ -99,8 +117,10 @@ def build_operators(gs: GameSpace) -> OperatorSet:
     sqrt(2) has real weights, pi2 = -i kappa2 (a_plus - a_minus) / sqrt(2)
     imaginary ones; precorrelation = (pi1 pi2 + pi2 pi1) / 2 is Hermitian,
     purely imaginary, and in finite mode couples only states two apart.  A
-    kappa scaling that leaves any entry non-finite is an InputError.
+    kappa1 kappa2 that overflows or falls below the smallest normal double,
+    or a kappa scaling that leaves any entry non-finite, is an InputError.
     """
+    _check_kappa_product(gs)
     a_plus, a_minus = build_ladder(gs)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         pi1 = gs.kappa1 * (a_plus + a_minus) / math.sqrt(2.0)
@@ -232,12 +252,17 @@ def payoff_variance(gs: GameSpace, n: int, player: int) -> PayoffVariance:
     n <= N-1; periodic mode: 1 <= n <= N-1); boundary states are returned
     as computed with interior=False.  Computed at kappa = 1 and scaled by
     kappa_j^2, so the other player's kappa does not enter; InputError if
-    the scaling overflows.
+    the scaling overflows or kappa_j^2 falls below the smallest normal double.
     """
     if player not in (1, 2):
         raise InputError(f"player must be 1 or 2, got {player!r}")
     state = number_state(gs, n)  # validates n
     kappa = gs.kappa1 if player == 1 else gs.kappa2
+    if kappa * kappa < sys.float_info.min:
+        raise InputError(
+            f"kappa{player} = {kappa:.3e} underflows its square {kappa * kappa:.3e} "
+            f"below the smallest normal double {sys.float_info.min:.3e}"
+        )
     ops = build_operators(GameSpace(gs.rounds_max, gs.mode))
     pi = ops.pi1 if player == 1 else ops.pi2
     value = kappa * kappa * expectation(state, pi @ pi).real

@@ -9,10 +9,12 @@ place: a table of result objects takes its columns from the fields of the
 result class, in field order (``spectrum_rows``, and ``one_row`` of a
 ``ComparisonReport``, ``DivergenceReport``, ``PayoffVariance`` or
 ``PeakSet``); a table of derived columns is named by its ``*_rows`` builder,
-and a sampled grid by the subcommand that prints it.  CSV renders floats
-with 17 significant digits ('.' decimal separator, '\\n' line endings,
-RFC-4180-style quoting); JSON keeps native doubles so a re-parse reproduces
-the report exactly, in the layout of ``json.dumps(payload, indent=2)``.
+and a sampled grid by the subcommand that prints it.  CSV writes a float
+column byte for byte as Python's '%.17g' (17 significant digits, '.'
+decimal separator), a chunk of rows at a time through ``_floattext``, with
+'\\n' line endings and RFC-4180-style quoting; JSON keeps native doubles
+so a re-parse reproduces the report exactly, in the layout of
+``json.dumps(payload, indent=2)``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
+from ._floattext import rows_text
 from .correlation import CorrelationReport, CorrelationRow
 from .gamespace import CommutatorAudit, OperatorSet
 
@@ -56,23 +59,19 @@ def _columns(table: dict) -> list:
 
 
 def write_csv(table: dict) -> str:
-    """CSV document, one %-template per row.
+    """CSV document: the header line, then the rows, written a column at a time.
 
-    A float column is formatted by the template itself ("%.17g", the bytes
-    of format_field) and never needs quoting; other fields are formatted and
-    escaped one by one.
+    A float64 array column is written with numpy integer arithmetic, byte
+    for byte as '%.17g' (the bytes of format_field), and never needs
+    quoting; the fields of a list column are formatted and escaped one by
+    one.
     """
-    fields, formats = [], []
-    for col in _columns(table):
-        if isinstance(col, np.ndarray):
-            fields.append(col.tolist())
-            formats.append("%.17g")
-        else:
-            fields.append([_escape(format_field(v)) for v in col])
-            formats.append("%s")
-    lines = [",".join(_escape(h) for h in table)]
-    lines.extend(map(",".join(formats).__mod__, zip(*fields)))
-    return "\n".join(lines) + "\n"
+    columns = [
+        ("%.17g", col) if isinstance(col, np.ndarray)
+        else ("%s", [_escape(format_field(v)) for v in col])
+        for col in _columns(table)
+    ]
+    return ",".join(_escape(h) for h in table) + "\n" + rows_text(columns, ",", "\n")
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

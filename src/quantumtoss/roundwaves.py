@@ -46,30 +46,6 @@ def _as_grid(xi):
     return x
 
 
-def hermite(n: int, xi):
-    """Physicists' Hermite polynomial H_n by the forward recurrence.
-
-    H_0 = 1, H_1 = 2 xi, H_{k+1} = 2 xi H_k - 2 k H_{k-1}.  Accepts scalars
-    or arrays; orders above HERMITE_N_MAX are rejected, and so is a grid on
-    which the raw polynomial values overflow (psi stays bounded there).
-    """
-    as_int(n, "n", 0, HERMITE_N_MAX)
-    x = _as_grid(xi)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return float(h_prev[0]) if scalar else h_prev
-    h = 2.0 * x
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        for k in range(1, n):
-            h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    if not np.all(np.isfinite(h)):
-        big = float(np.max(np.abs(x)))
-        raise InputError(f"H_{n} overflows double precision on a grid reaching |xi| = {big:.6g}")
-    return float(h[0]) if scalar else h
-
-
 def psi(n: int, xi):
     """Normalized round wavefunction psi_n(xi).
 
@@ -189,24 +165,6 @@ def central_second_difference(fn, x, h: float):
     return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
 
 
-def schrodinger_residual(n: int, grid, h: float) -> float:
-    """Worst defect of psi_n in the round eigenvalue equation on ``grid``.
-
-    Returns max |(-D2_h psi + xi^2 psi) - (2n + 1) psi| with D2_h the
-    central second difference; second-order small in h.  The grid must stay
-    within +-(sqrt(2n + 1) + 6), beyond which the density is pure underflow.
-    """
-    as_int(n, "n", 0, HERMITE_N_MAX)
-    x = _as_grid(grid)
-    bound = math.sqrt(2.0 * n + 1.0) + 6.0
-    if x.size == 0 or float(np.max(np.abs(x))) > bound + 1e-9:
-        raise InputError(f"grid must lie within [-{bound}, {bound}]")
-    d2 = central_second_difference(lambda t: psi(n, t), x, h)
-    wave = psi(n, np.atleast_1d(x))
-    resid = -d2 + np.atleast_1d(x) ** 2 * wave - (2.0 * n + 1.0) * wave
-    return float(np.max(np.abs(resid)))
-
-
 @dataclass(frozen=True)
 class ClassicalMixture:
     """The +-1-per-round random walk seeded with the round-zero Gaussian.
@@ -309,22 +267,6 @@ def correlation_eigenfunction(lam: float, ordering: str, grid) -> np.ndarray:
         raise InputError("grid must be strictly ascending")
     s = complex(-ORDERINGS[ordering], -lam)
     return np.exp(s * np.log(x.astype(complex)))
-
-
-def eigenfunction_residual(lam: float, ordering: str, grid) -> float:
-    """Central-difference defect of xi^s in its first-order equation.
-
-    Returns max over interior points of |i (xi psi' + c psi) - lam psi|
-    with c the ordering's additive constant and psi' the centered
-    difference; second-order small in the grid step.
-    """
-    x = np.atleast_1d(_as_grid(grid))
-    values = correlation_eigenfunction(lam, ordering, x)
-    if x.size < 3:
-        raise InputError("need at least 3 grid points for the residual")
-    dpsi = (values[2:] - values[:-2]) / (x[2:] - x[:-2])
-    lhs = 1j * (x[1:-1] * dpsi + ORDERINGS[ordering] * values[1:-1])
-    return float(np.max(np.abs(lhs - float(lam) * values[1:-1])))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._floattext import rows_text
 from .errors import InputError
 
 WIDTH = 800
@@ -90,7 +91,9 @@ def render_svg(series, x_label: str = "", y_label: str = "", markers=()) -> str:
 
     ``series`` is a sequence of Series (each at least 2 finite points);
     ``markers`` is a sequence of MarkerGroup rendered as dashed vertical
-    lines.  Raises InputError on an empty series set.
+    lines.  Polyline points are written a whole series at a time, each
+    coordinate byte for byte as '%.3f'.  Raises InputError on an empty
+    series set.
     """
     series = list(series)
     markers = list(markers)
@@ -154,9 +157,8 @@ def render_svg(series, x_label: str = "", y_label: str = "", markers=()) -> str:
     legend = [(s.name, "") for s in series] + [(m.name, _DASH) for m in markers]
     colors = [PALETTE[k % len(PALETTE)] for k in range(len(legend))]
     for s, color in zip(series, colors):
-        xs = px(np.asarray(s.x)).tolist()
-        ys = py(np.asarray(s.y)).tolist()
-        points = " ".join(map("%.3f,%.3f".__mod__, zip(xs, ys)))
+        xy = [("%.3f", px(np.asarray(s.x))), ("%.3f", py(np.asarray(s.y)))]
+        points = rows_text(xy, ",", " ")[:-1]
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

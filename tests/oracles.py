@@ -9,12 +9,31 @@ of a zero-diagonal symmetric tridiagonal matrix exactly, in rational
 arithmetic, at any dimension.  ``dense_dekker_commutator`` is the
 full-width Dekker row loop that the package's row-sparse commutator must
 match byte for byte, and ``correlation_value`` the one-state form of the
-spectrum's correlation column.
+spectrum's correlation column.  ``csv_reference`` and
+``polyline_reference`` are the row-by-row writers that the package's
+column-at-a-time CSV and SVG text must match byte for byte.  ``hermite``,
+``schrodinger_residual``, ``eigenfunction_residual`` and
+``sign_classification`` check the package's wavefunctions,
+eigenfunctions and sign classes from outside it.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from quantumtoss.correlation import CorrelationReport
+from quantumtoss.errors import InputError
+from quantumtoss.numerics import as_int
+from quantumtoss.reports import format_field
+from quantumtoss.roundwaves import (
+    HERMITE_N_MAX,
+    ORDERINGS,
+    _as_grid,
+    central_second_difference,
+    correlation_eigenfunction,
+    psi,
+)
 
 _SPLIT = 134217729.0  # 2**27 + 1
 
@@ -209,3 +228,93 @@ def sturm_count(squared_couplings, x):
         else:
             pivot = -x - b2 / pivot
     return count + (pivot is None or pivot < 0)
+
+
+def hermite(n: int, xi):
+    """Physicists' Hermite polynomial H_n by the forward recurrence.
+
+    H_0 = 1, H_1 = 2 xi, H_{k+1} = 2 xi H_k - 2 k H_{k-1}.  Accepts scalars
+    or arrays; orders above HERMITE_N_MAX are rejected, and so is a grid on
+    which the raw polynomial values overflow (psi stays bounded there).
+    """
+    as_int(n, "n", 0, HERMITE_N_MAX)
+    x = _as_grid(xi)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    h_prev = np.ones_like(x)
+    if n == 0:
+        return float(h_prev[0]) if scalar else h_prev
+    h = 2.0 * x
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for k in range(1, n):
+            h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
+    if not np.all(np.isfinite(h)):
+        big = float(np.max(np.abs(x)))
+        raise InputError(f"H_{n} overflows double precision on a grid reaching |xi| = {big:.6g}")
+    return float(h[0]) if scalar else h
+
+
+def schrodinger_residual(n: int, grid, h: float) -> float:
+    """Worst defect of psi_n in the round eigenvalue equation on ``grid``.
+
+    Returns max |(-D2_h psi + xi^2 psi) - (2n + 1) psi| with D2_h the
+    central second difference; second-order small in h.  The grid must stay
+    within +-(sqrt(2n + 1) + 6), beyond which the density is pure underflow.
+    """
+    as_int(n, "n", 0, HERMITE_N_MAX)
+    x = _as_grid(grid)
+    bound = math.sqrt(2.0 * n + 1.0) + 6.0
+    if x.size == 0 or float(np.max(np.abs(x))) > bound + 1e-9:
+        raise InputError(f"grid must lie within [-{bound}, {bound}]")
+    d2 = central_second_difference(lambda t: psi(n, t), x, h)
+    wave = psi(n, np.atleast_1d(x))
+    resid = -d2 + np.atleast_1d(x) ** 2 * wave - (2.0 * n + 1.0) * wave
+    return float(np.max(np.abs(resid)))
+
+
+def eigenfunction_residual(lam: float, ordering: str, grid) -> float:
+    """Central-difference defect of xi^s in its first-order equation.
+
+    Returns max over interior points of |i (xi psi' + c psi) - lam psi|
+    with c the ordering's additive constant and psi' the centered
+    difference; second-order small in the grid step.
+    """
+    x = np.atleast_1d(_as_grid(grid))
+    values = correlation_eigenfunction(lam, ordering, x)
+    if x.size < 3:
+        raise InputError("need at least 3 grid points for the residual")
+    dpsi = (values[2:] - values[:-2]) / (x[2:] - x[:-2])
+    lhs = 1j * (x[1:-1] * dpsi + ORDERINGS[ordering] * values[1:-1])
+    return float(np.max(np.abs(lhs - float(lam) * values[1:-1])))
+
+
+def sign_classification(report: CorrelationReport) -> tuple[int, ...]:
+    """Sign classes of the report's rows, in row order (taken at kappa = 1)."""
+    return tuple(row.sign_class for row in report.rows)
+
+
+def _quote(field):
+    if "," in field or '"' in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def csv_reference(table):
+    """The CSV document of ``table`` one row at a time, RFC-4180 quoting.
+
+    A numpy array column is formatted by the per-row template "%.17g"; any
+    other field by ``format_field``.
+    """
+    columns = [
+        col.tolist() if isinstance(col, np.ndarray) else [_quote(format_field(v)) for v in col]
+        for col in table.values()
+    ]
+    template = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in table.values())
+    lines = [",".join(_quote(h) for h in table)]
+    lines.extend(template % row for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+def polyline_reference(xs, ys):
+    """SVG polyline points, one "%.3f,%.3f" pair per point, joined by spaces."""
+    return " ".join(map("%.3f,%.3f".__mod__, zip(np.asarray(xs).tolist(), np.asarray(ys).tolist())))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from quantumtoss.cli import run_cli
-from quantumtoss.correlation import correlation_spectrum, sign_classification
+from quantumtoss.correlation import correlation_spectrum
 from quantumtoss.gamespace import (
     GameSpace,
     audit_commutators,
@@ -25,10 +25,14 @@ from quantumtoss.roundwaves import (
     density_peaks,
     divergence_scan,
     psi,
-    schrodinger_residual,
 )
 
-from oracles import eigenvalues_oracle, scan_density_maxima
+from oracles import (
+    eigenvalues_oracle,
+    scan_density_maxima,
+    schrodinger_residual,
+    sign_classification,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 

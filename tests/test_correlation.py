@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantumtoss.correlation import classify_signs, correlation_spectrum, sign_classification
+from quantumtoss.correlation import classify_signs, correlation_spectrum
 from quantumtoss.errors import ConvergenceError, InputError
 from quantumtoss.gamespace import GameSpace, build_operators
 from quantumtoss.numerics import hermitian_eigen
 
-from oracles import correlation_value, sturm_count
+from oracles import correlation_value, sign_classification, sturm_count
 
 SQRT_HALF = math.sqrt(0.5)
 PEARSON_DIM3 = 2.0 * math.sqrt(2.0) / 3.0

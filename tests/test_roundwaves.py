@@ -19,15 +19,12 @@ from quantumtoss.roundwaves import (
     density_grid,
     density_peaks,
     divergence_scan,
-    eigenfunction_residual,
-    hermite,
     hermite_zeros,
     psi,
-    schrodinger_residual,
     uniform_grid,
 )
 
-from oracles import scan_density_maxima
+from oracles import eigenfunction_residual, hermite, scan_density_maxima, schrodinger_residual
 
 
 def quad_grid(n, step=1e-3):

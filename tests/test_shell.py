@@ -19,6 +19,8 @@ from quantumtoss.gamespace import GameSpace
 from quantumtoss.reports import format_field, write_csv, write_json
 from quantumtoss.svgplot import MarkerGroup, Series, render_svg
 
+from oracles import csv_reference
+
 
 def run(capsys, *argv):
     code = run_cli(list(argv))
@@ -92,21 +94,6 @@ def _json_reference(config, table, audit=None):
     return json.dumps(_plain(payload), indent=2) + "\n"
 
 
-def _csv_reference(header, table):
-    """Row-by-row CSV: format_field per field, RFC-4180 quoting."""
-
-    def quote(field):
-        if "," in field or '"' in field or "\n" in field:
-            return '"' + field.replace('"', '""') + '"'
-        return field
-
-    n = len(table[header[0]])
-    lines = [",".join(quote(h) for h in header)]
-    for i in range(n):
-        lines.append(",".join(quote(format_field(table[h][i])) for h in header))
-    return "\n".join(lines) + "\n"
-
-
 def test_write_json_matches_json_dumps():
     n = len(EDGE_PLAIN)
     floats = np.array((EDGE_FLOATS * 2)[:n])
@@ -133,11 +120,9 @@ def test_write_csv_matches_row_reference():
         "text": ["plain", "a,b", 'q"q', "line\nbreak", ""] * 2 + ["x", "y", "z"],
         "y": -np.array((EDGE_FLOATS * 2)[:n]),
     }
-    header = ["x", "mixed", "text", "y"]
-    assert write_csv(table) == _csv_reference(header, table)
-    assert write_csv({'h,"1"': [1, 2], "x": np.array([0.5, -0.0])}) == (
-        _csv_reference(['h,"1"', "x"], {'h,"1"': [1, 2], "x": np.array([0.5, -0.0])})
-    )
+    assert write_csv(table) == csv_reference(table)
+    small = {'h,"1"': [1, 2], "x": np.array([0.5, -0.0])}
+    assert write_csv(small) == csv_reference(small)
     with pytest.raises(ValueError, match="length"):
         write_csv({"a": [1], "b": np.array([1.0, 2.0])})
 
@@ -175,7 +160,7 @@ def test_bulk_csv_matches_row_reference(capsys, argv):
         columns = [xi, [v.real for v in values], [v.imag for v in values],
                    [abs(complex(v)) for v in values]]
     table = {h: [float(x) for x in col] for h, col in zip(header, columns)}
-    assert out == _csv_reference(header, table)
+    assert out == csv_reference(table)
 
 
 def test_operators_json_matches_json_dumps(capsys):
@@ -662,6 +647,40 @@ def test_operator_kappa_overflow_exit_2(capsys, command):
     )
     assert code == 2 and out == ""
     assert "kappa1 = 1.000e+200" in err and "kappa2 = 1.000e+200" in err
+
+
+@pytest.mark.parametrize("kappa, product", [("1e-200", "0.000e+00"), ("1e-160", "1.000e-320")])
+@pytest.mark.parametrize("command", ["spectrum", "audit", "operators", "sweep", "variance"])
+def test_kappa_product_underflow_exit_2(capsys, command, kappa, product):
+    size = ("--rounds-max",) if command == "sweep" else ("--rounds",)
+    extra = ("--n", "1", "--player", "1") if command == "variance" else ()
+    code, out, err = run(capsys, command, *size, "3", *extra, "--kappa1", kappa, "--kappa2", kappa)
+    assert code == 2 and out == ""
+    if command == "variance":  # kappa1 squared; kappa2 does not enter
+        assert f"kappa1 = {float(kappa):.3e} underflows its square {product}" in err
+    else:
+        assert f"kappa1 = {float(kappa):.3e}, kappa2 = {float(kappa):.3e} underflow" in err
+        assert f"their product {product} below the smallest normal double 2.225e-308" in err
+
+
+def test_kappa_product_just_above_the_smallest_normal_runs(capsys):
+    kappa = "1.5e-154"  # squared: 2.25e-308, just above 2.2250738585072014e-308
+    code, out, err = run(capsys, "spectrum", "--rounds", "3", "--kappa1", kappa, "--kappa2", kappa)
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    eigenvalues = sorted(abs(float(r[1])) for r in rows)
+    assert eigenvalues[0] > 0 and [int(r[-1]) for r in rows] == [-1, -1, 1, 1]
+    code, out, err = run(capsys, "audit", "--rounds", "3", "--kappa1", kappa, "--kappa2", kappa)
+    assert code == 0, err
+    assert dict(parse_csv(out)[1])["payoff_sign"] == "-1"
+    code, out, err = run(capsys, "variance", "--rounds", "3", "--n", "1", "--player", "1",
+                         "--kappa1", kappa)
+    assert code == 0, err
+    assert float(parse_csv(out)[1][0][4]) == pytest.approx(1.5 * 1.5e-154**2, rel=1e-12)
+    # variance of player 2 does not depend on kappa1
+    code, out, err = run(capsys, "variance", "--rounds", "3", "--n", "1", "--player", "2",
+                         "--kappa1", "1e-200")
+    assert code == 0 and parse_csv(out)[1][0][4] == "1.5", err
 
 
 def test_audit_opposite_extreme_kappas_stay_finite(capsys):
