@@ -17,27 +17,21 @@ from .gamespace import (
     audit_commutators,
     build_ladder,
     build_operators,
-    number_state,
     payoff_variance,
 )
 from .numerics import (
     SpectralDecomposition,
     adjoint,
     commutator,
-    expectation,
     hermitian_eigen,
 )
 from .roundwaves import (
-    ClassicalMixture,
     ComparisonReport,
-    DensityGrid,
     DivergenceReport,
     PeakSet,
-    classical_mixture,
     classical_mixture_density,
     compare_quantum_classical,
     correlation_eigenfunction,
-    density_grid,
     density_peaks,
     divergence_scan,
     hermite_zeros,

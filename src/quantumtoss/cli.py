@@ -41,16 +41,16 @@ from .roundwaves import (
     classical_mixture_density,
     compare_quantum_classical,
     correlation_eigenfunction,
-    density_grid,
     density_peaks,
     divergence_scan,
+    psi,
     uniform_grid,
 )
 from .svgplot import MarkerGroup, Series, render_svg
 
 PROG = "quantumtoss"
 # largest --rounds-max of `sweep`: 128 spectra up to dimension 129, which
-# took 20-21 s in periodic mode (8-12 s finite) on a 2-vCPU Linux VM
+# took 3.8-5.5 s in periodic mode (2.2 s finite) on a 2-vCPU Linux VM
 SWEEP_ROUNDS_MAX = 128
 # argparse reads only -12 and -1.5 as negative numbers, and -1e-3, -inf or
 # -2,4 as an option; this takes every argument that starts with a minus sign
@@ -165,12 +165,14 @@ def _emit(args, table, audit=None, series=(), markers=()):
 def _cmd_operators(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
     ops = build_operators(gs)
-    audit = audit_commutators(gs)
-    metrics = reports.audit_rows(audit)
-    audit_obj = {
-        "metrics": dict(zip(metrics["metric"], metrics["value"])),
-        **reports.audit_detail(audit),
-    }
+    audit_obj = None
+    if args.format == "json":  # the CSV holds the operators alone
+        audit = audit_commutators(gs)
+        metrics = reports.audit_rows(audit)
+        audit_obj = {
+            "metrics": dict(zip(metrics["metric"], metrics["value"])),
+            **reports.audit_detail(audit),
+        }
     _emit(args, reports.operator_rows(ops), audit=audit_obj)
 
 
@@ -200,9 +202,11 @@ def _cmd_variance(args):
 
 
 def _cmd_density(args):
-    grid = density_grid(args.n, args.xi_min, args.xi_max, args.samples)
-    _emit(args, {"xi": grid.xi, "psi": grid.psi, "density": grid.density},
-          series=[Series(f"round {args.n} density", grid.xi, grid.density)])
+    xi = uniform_grid(args.xi_min, args.xi_max, args.samples)
+    wave = psi(args.n, xi)
+    density = wave * wave
+    _emit(args, {"xi": xi, "psi": wave, "density": density},
+          series=[Series(f"round {args.n} density", xi, density)])
 
 
 def _cmd_peaks(args):
@@ -219,14 +223,13 @@ def _cmd_classical(args):
 def _cmd_compare(args):
     rep = compare_quantum_classical(args.n)
     half = float(args.n) + 4.0
-    grid = density_grid(args.n, -half, half, 1601)
+    xi = uniform_grid(-half, half, 1601)
     _emit(
         args,
         reports.one_row(vars(rep)),
         series=[
-            Series(f"round {args.n} density", grid.xi, grid.density),
-            Series(f"classical walk n={args.n}", grid.xi,
-                   classical_mixture_density(args.n, grid.xi)),
+            Series(f"round {args.n} density", xi, psi(args.n, xi) ** 2),
+            Series(f"classical walk n={args.n}", xi, classical_mixture_density(args.n, xi)),
         ],
         markers=[
             MarkerGroup("quantum peaks", tuple(float(x) for x in rep.quantum_peaks)),

@@ -135,25 +135,11 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
             f"kappa1 = {k1:.3e}, kappa2 = {k2:.3e} overflow the spectrum statistics "
             f"(largest |eigenvalue| at kappa = 1: {float(np.max(np.abs(lam))):.3e})"
         )
-    eigenvalues, exp1, exp2, spread1, spread2, correlation = scaled
-    signs = classify_signs(lam)  # kappa1 kappa2 > 0 keeps every sign
-
-    rows = []
-    for k in range(dim):
-        spread = float(sigma1[k] * sigma2[k])
-        rows.append(
-            CorrelationRow(
-                index=k,
-                eigenvalue=float(eigenvalues[k]),
-                parity=labels[k],
-                exp_pi1=float(exp1[k]),
-                exp_pi2=float(exp2[k]),
-                sigma1=float(spread1[k]),
-                sigma2=float(spread2[k]),
-                correlation=float(correlation[k]),
-                pearson=float(corr[k] / spread) if spread > PEARSON_MIN_SPREAD else None,
-                sign_class=int(signs[k]),
-                vector=vecs[:, k],
-            )
-        )
+    eigenvalues, exp1, exp2, spread1, spread2, correlation = scaled.tolist()
+    spread = sigma1 * sigma2
+    pearson = [c / s if s > PEARSON_MIN_SPREAD else None
+               for c, s in zip(corr.tolist(), spread.tolist())]
+    signs = classify_signs(lam).tolist()  # kappa1 kappa2 > 0 keeps every sign
+    rows = map(CorrelationRow, range(dim), eigenvalues, labels, exp1, exp2, spread1, spread2,
+               correlation, pearson, signs, vecs.T)
     return CorrelationReport(rows=tuple(rows))

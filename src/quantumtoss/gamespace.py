@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numerics import EIGEN_DIM_MAX, adjoint, as_int, as_real, commutator, expectation
+from .numerics import EIGEN_DIM_MAX, adjoint, as_int, as_real, commutator
 
 MODES = ("finite", "periodic")
 
@@ -256,7 +256,7 @@ def payoff_variance(gs: GameSpace, n: int, player: int) -> PayoffVariance:
     """
     if player not in (1, 2):
         raise InputError(f"player must be 1 or 2, got {player!r}")
-    state = number_state(gs, n)  # validates n
+    as_int(n, "n", 0, gs.rounds_max)
     kappa = gs.kappa1 if player == 1 else gs.kappa2
     if kappa * kappa < sys.float_info.min:
         raise InputError(
@@ -265,18 +265,11 @@ def payoff_variance(gs: GameSpace, n: int, player: int) -> PayoffVariance:
         )
     ops = build_operators(GameSpace(gs.rounds_max, gs.mode))
     pi = ops.pi1 if player == 1 else ops.pi2
-    value = kappa * kappa * expectation(state, pi @ pi).real
+    # <n| pi^2 |n>, a Python float: its product overflows to inf without a numpy warning
+    value = kappa * kappa * float((pi @ pi)[n, n].real)
     if not math.isfinite(value):
         raise InputError(f"kappa{player} = {kappa:.3e} overflows the mean-squared pay-off")
     interior = n < gs.rounds_max and (n >= 1 or gs.mode == "finite")
     return PayoffVariance(
-        rounds=gs.rounds_max, n=n, player=player, kappa=kappa, value=float(value), interior=interior
+        rounds=gs.rounds_max, n=n, player=player, kappa=kappa, value=value, interior=interior
     )
-
-
-def number_state(gs: GameSpace, n: int) -> np.ndarray:
-    """Round-number basis vector e_n."""
-    as_int(n, "n", 0, gs.rounds_max)
-    state = np.zeros(gs.dim, dtype=complex)
-    state[n] = 1.0
-    return state

@@ -2,12 +2,13 @@
 
 Matrices are plain ``complex128`` numpy arrays; all functions treat their
 arguments as immutable and return fresh arrays.  Besides validation
-(``as_matrix``, ``as_state``, ``as_int`` and ``as_real``), the
-adjoint, norms and expectation values, the module has an error-free (Dekker)
-commutator and a self-contained Hermitian eigensolver (Householder reduction
-to a real tridiagonal matrix, then implicit QL with Wilkinson shifts), so
-that its rotation order, tie-breaking and phase convention are fully pinned
-down and runs are bit-reproducible.
+(``as_matrix``, ``as_int`` and ``as_real``), the adjoint and norms, the
+module has an error-free (Dekker) commutator and a self-contained Hermitian
+eigensolver (Householder reduction to a real tridiagonal matrix, then
+implicit QL with Wilkinson shifts), so that its rotation order,
+tie-breaking and phase convention are fully pinned down and runs are
+bit-reproducible.  A mean <n| M |n> in a round-number state is the matrix
+element M[n, n]; no state-vector helper is needed.
 """
 
 from __future__ import annotations
@@ -57,19 +58,6 @@ def as_matrix(m) -> np.ndarray:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise InputError("matrix entries must be finite")
-    return a
-
-
-def as_state(v, dim: int | None = None) -> np.ndarray:
-    """Validate ``v`` as a finite unit vector (2-norm within 1e-12 of 1)."""
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise InputError("state components must be finite")
-    if dim is not None and a.size != dim:
-        raise InputError(f"state has length {a.size}, expected {dim}")
-    nrm = float(np.linalg.norm(a))
-    if abs(nrm - 1.0) > STATE_NORM_TOL:
-        raise InputError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
     return a
 
 
@@ -135,13 +123,6 @@ def commutator(a, b) -> np.ndarray:
         im = np.sum((p3 - p7) + (p4 - p8), axis=0) + np.sum((e3 - e7) + (e4 - e8), axis=0)
         out[i, :] = re + 1j * im
     return out
-
-
-def expectation(state, m) -> complex:
-    """<state| m |state> for a unit vector; complex in general."""
-    m = as_matrix(m)
-    s = as_state(state, m.shape[0])
-    return complex(s.conj() @ (m @ s))
 
 
 def hermitian_deviation(m) -> float:

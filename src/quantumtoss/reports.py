@@ -1,11 +1,11 @@
 """Row assembly and CSV/JSON serialization for the command-line surface.
 
 Every subcommand's output is a table of equal-length columns, keyed by
-column name in output order: a float64 numpy array, formatted a whole
-column at a time, or a list of plain Python values (float/int/bool/str/
-None or lists of floats), formatted field by field.  The table's keys are
-both the CSV header and the JSON row keys, and each column is named in one
-place: a table of result objects takes its columns from the fields of the
+column name in output order: a float64 or int64 numpy array, formatted a
+whole column at a time, or a list of plain Python values (float/int/bool/
+str/None or lists of floats), formatted field by field.  The table's keys
+are both the CSV header and the JSON row keys, and each column is named in
+one place: a table of result objects takes its columns from the fields of the
 result class, in field order (``spectrum_rows``, and ``one_row`` of a
 ``ComparisonReport``, ``DivergenceReport``, ``PayoffVariance`` or
 ``PeakSet``); a table of derived columns is named by its ``*_rows`` builder,
@@ -63,7 +63,9 @@ def write_csv(table: dict) -> str:
 
     A float64 array column is written with numpy integer arithmetic, byte
     for byte as '%.17g' (the bytes of format_field), and never needs
-    quoting; the fields of a list column are formatted and escaped one by
+    quoting.  An int64 array column goes the same way: '%.17g' % float(i)
+    == str(i) for every |i| < 2^53, so it is written as format_field writes
+    an int.  The fields of a list column are formatted and escaped one by
     one.
     """
     columns = [
@@ -174,8 +176,8 @@ def operator_rows(ops: OperatorSet) -> dict:
     index = np.arange(d)
     return {
         "matrix": [name for name in mats for _ in range(d * d)],
-        "row": np.repeat(index, d).tolist() * len(mats),
-        "col": np.tile(index, d).tolist() * len(mats),
+        "row": np.tile(np.repeat(index, d), len(mats)),
+        "col": np.tile(index, d * len(mats)),
         "re": np.concatenate([m.real.ravel() for m in mats.values()]),
         "im": np.concatenate([m.imag.ravel() for m in mats.values()]),
     }
@@ -212,14 +214,15 @@ def audit_detail(audit: CommutatorAudit) -> dict:
 def spectrum_rows(report: CorrelationReport, rounds: int | None = None) -> dict:
     """A row per eigenstate, a column per CorrelationRow field but ``vector``.
 
-    Each field declared ``float`` is a float64 array, in every block of a sweep alike.
+    Each field declared ``float`` or ``int`` is a float64 or int64 array, in
+    every block of a sweep alike, as is the ``rounds`` column of a sweep.
     """
     rows = report.rows
-    table = {} if rounds is None else {"rounds": [rounds] * len(rows)}
+    table = {} if rounds is None else {"rounds": np.full(len(rows), rounds)}
     for f in fields(CorrelationRow):
         if f.name != "vector":
             values = [getattr(r, f.name) for r in rows]
-            table[f.name] = np.array(values, dtype=float) if f.type in (float, "float") else values
+            table[f.name] = np.array(values) if f.type in ("float", "int") else values
     return table
 
 

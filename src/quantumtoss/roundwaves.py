@@ -2,7 +2,8 @@
 
 In the dimensionless pay-off variable xi the round-n state solves
 -psi'' + xi^2 psi = (2n + 1) psi, so the wavefunctions are normalized
-Hermite functions.  This module evaluates them stably and takes the
+Hermite functions.  This module evaluates them stably (a round density
+on a grid is ``psi(n, uniform_grid(...)) ** 2``) and takes the
 Hermite zeros and the density peaks from the spectrum of the finite-mode
 pay-off matrix pi1, the peaks with its last coupling set to sqrt(n).  It
 compares against the classical +-1-step random walk seeded with the
@@ -25,7 +26,7 @@ HERMITE_N_MAX = 300
 PEAKS_N_MAX = 100
 COMPARE_N_MAX = 50
 # largest grid of density, classical and corr-eigen: 10^6 samples took
-# 3.3-4.3 s and up to 503 MiB peak through the CLI on a 2-vCPU Linux VM
+# 3.1 s and 248 MiB peak (`density --n 300 --svg`) on a 2-vCPU Linux VM
 SAMPLES_MAX = 1_000_000
 # each ordering's additive constant c in the first-order eigenvalue equation
 # i (xi d/dxi + c) psi = lam psi: "printed" keeps the whole unit, "weyl" the
@@ -74,16 +75,6 @@ def _trapezoid(y: np.ndarray, dx: float) -> float:
     return float(dx * (np.sum(y) - 0.5 * (y[0] + y[-1])))
 
 
-@dataclass(frozen=True)
-class DensityGrid:
-    """Sampled wavefunction and probability density of round n."""
-
-    n: int
-    xi: np.ndarray
-    psi: np.ndarray
-    density: np.ndarray
-
-
 def uniform_grid(xi_min: float, xi_max: float, samples: int) -> np.ndarray:
     """``samples`` (2..SAMPLES_MAX) equally spaced points from xi_min to xi_max, both included."""
     samples = as_int(samples, "samples", 2, SAMPLES_MAX)
@@ -92,14 +83,6 @@ def uniform_grid(xi_min: float, xi_max: float, samples: int) -> np.ndarray:
     if not math.isfinite(xi_max - xi_min) or xi_min >= xi_max:
         raise InputError(f"invalid range [{xi_min}, {xi_max}]")
     return np.linspace(xi_min, xi_max, samples)
-
-
-def density_grid(n: int, xi_min: float, xi_max: float, samples: int) -> DensityGrid:
-    """Uniformly sampled psi_n and P_n = psi_n^2 on [xi_min, xi_max]."""
-    n = as_int(n, "n", 0, HERMITE_N_MAX)
-    xi = uniform_grid(xi_min, xi_max, samples)
-    wave = psi(n, xi)
-    return DensityGrid(n=n, xi=xi, psi=wave, density=wave * wave)
 
 
 def _folded_spectrum(m) -> np.ndarray:
@@ -165,38 +148,22 @@ def central_second_difference(fn, x, h: float):
     return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
 
 
-@dataclass(frozen=True)
-class ClassicalMixture:
-    """The +-1-per-round random walk seeded with the round-zero Gaussian.
-
-    After n rounds the pay-off density is the binomial mixture of unit
-    Gaussians e^(-(xi - c)^2)/sqrt(pi) at centers c = -n, -n+2, ..., n;
-    every component keeps the seed's standard width 1/sqrt(2).
-    """
-
-    n: int
-    weights: np.ndarray
-    centers: np.ndarray
-    component_width: float
-
-
-def classical_mixture(n: int) -> ClassicalMixture:
-    n = as_int(n, "n", 0, HERMITE_N_MAX)
-    ks = np.arange(n + 1)
-    weights = np.array([math.comb(n, int(k)) for k in ks], dtype=float) / 2.0**n
-    centers = (2.0 * ks - n).astype(float)
-    return ClassicalMixture(
-        n=n, weights=weights, centers=centers, component_width=math.sqrt(0.5)
-    )
-
-
 def classical_mixture_density(n: int, grid) -> np.ndarray:
-    """Density of the classical walk after n rounds, sampled on ``grid``."""
-    mix = classical_mixture(n)
+    """Density of the classical walk after n rounds, sampled on ``grid``.
+
+    The walk takes a +-1 step per round from the round-zero Gaussian, so
+    after n rounds the pay-off density is the binomial mixture, weights
+    C(n, k) / 2^n, of unit Gaussians e^(-(xi - c)^2)/sqrt(pi) at centers
+    c = -n, -n+2, ..., n; every component keeps the seed's standard width
+    1/sqrt(2).
+    """
+    n = as_int(n, "n", 0, HERMITE_N_MAX)
+    weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float) / 2.0**n
+    centers = 2.0 * np.arange(n + 1) - n
     x = np.atleast_1d(_as_grid(grid))
     out = np.zeros_like(x)
     with np.errstate(over="ignore"):  # as in psi, the overflow rounds to an exact 0
-        for w, c in zip(mix.weights, mix.centers):
+        for w, c in zip(weights, centers):
             out += w * np.exp(-((x - c) ** 2)) / math.sqrt(math.pi)
     return out
 

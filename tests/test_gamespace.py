@@ -11,7 +11,6 @@ from quantumtoss.gamespace import (
     build_ladder,
     build_operators,
     ladder_commutator_diagonal,
-    number_state,
     payoff_variance,
     unit_trace_diagonal,
 )
@@ -243,19 +242,10 @@ def test_payoff_variance_range_check():
         payoff_variance(GameSpace(3), 1, 3)
 
 
-def test_number_state_basics():
-    gs = GameSpace(3)
-    state = number_state(gs, 0)
-    np.testing.assert_array_equal(state, np.array([1, 0, 0, 0], dtype=complex))
-    assert np.linalg.norm(number_state(gs, 2)) == 1.0
-    with pytest.raises(InputError):
-        number_state(gs, 4)
-
-
 def test_lowering_annihilates_ground_state_finite():
     gs = GameSpace(3)
     _, a_minus = build_ladder(gs)
-    np.testing.assert_array_equal(a_minus @ number_state(gs, 0), np.zeros(4))
+    np.testing.assert_array_equal(a_minus[:, 0], np.zeros(4))  # a_minus |0> = 0
 
 
 def test_builders_return_the_operator_set_fields():

@@ -12,11 +12,9 @@ from quantumtoss.roundwaves import (
     PEAKS_N_MAX,
     STEP_MIN,
     central_second_difference,
-    classical_mixture,
     classical_mixture_density,
     compare_quantum_classical,
     correlation_eigenfunction,
-    density_grid,
     density_peaks,
     divergence_scan,
     hermite_zeros,
@@ -97,33 +95,31 @@ def test_density_grid_invariants():
     for n in (0, 1, 2, 5, 10, 30):
         half = math.sqrt(2.0 * n + 1.0) + 6.0
         samples = int(round(2.0 * half / 1e-3)) + 1
-        grid = density_grid(n, -half, half, samples)
-        np.testing.assert_allclose(grid.density, grid.psi**2, atol=1e-14)
-        dx = grid.xi[1] - grid.xi[0]
-        assert trapezoid(grid.density, dx) == pytest.approx(1.0, abs=1e-6)
+        xi = uniform_grid(-half, half, samples)
+        density = psi(n, xi) ** 2
+        assert trapezoid(density, xi[1] - xi[0]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_density_grid_frozen_values():
-    grid = density_grid(1, -2.0, 2.0, 5)
+    density = psi(1, uniform_grid(-2.0, 2.0, 5)) ** 2
     # density at xi = +-1 is 2 e^{-1} / sqrt(pi)
     expected = 2.0 * math.exp(-1.0) / math.sqrt(math.pi)
-    assert grid.density[1] == pytest.approx(expected, abs=1e-12)
-    assert grid.density[3] == pytest.approx(expected, abs=1e-12)
-    assert grid.density[2] == 0.0
+    assert density[1] == pytest.approx(expected, abs=1e-12)
+    assert density[3] == pytest.approx(expected, abs=1e-12)
+    assert density[2] == 0.0
 
 
 def test_density_grid_ground_state_peaks_at_origin():
-    grid = density_grid(0, -4.0, 4.0, 801)
-    assert np.argmax(grid.density) == 400
+    assert np.argmax(psi(0, uniform_grid(-4.0, 4.0, 801)) ** 2) == 400
 
 
 def test_density_grid_validation():
     with pytest.raises(InputError):
-        density_grid(1, 2.0, -2.0, 100)
+        uniform_grid(2.0, -2.0, 100)
     with pytest.raises(InputError):
-        density_grid(1, -2.0, 2.0, 1)
+        uniform_grid(-2.0, 2.0, 1)
     with pytest.raises(InputError, match=r"invalid range \[-1e\+308, 1.7e\+308\]"):
-        density_grid(1, -1e308, 1.7e308, 5)
+        uniform_grid(-1e308, 1.7e308, 5)
 
 
 def test_densities_vanish_without_warning_on_huge_grids():
@@ -259,11 +255,13 @@ def test_steps_above_the_rounding_floor_accepted(h):
 
 
 def test_classical_mixture_weights_and_centers():
-    mix = classical_mixture(3)
-    np.testing.assert_array_equal(mix.centers, [-3.0, -1.0, 1.0, 3.0])
-    np.testing.assert_allclose(mix.weights, [1 / 8, 3 / 8, 3 / 8, 1 / 8], atol=1e-14)
+    # at the centers -3, -1, 1, 3 the other components sit 2 or more apart
+    xs = np.array([-3.0, -1.0, 1.0, 3.0])
+    gauss = np.exp(-((xs[:, None] - xs[None, :]) ** 2)) / math.sqrt(math.pi)
+    np.testing.assert_allclose(
+        classical_mixture_density(3, xs), gauss @ [1 / 8, 3 / 8, 3 / 8, 1 / 8], rtol=1e-14
+    )
     assert sum(math.comb(3, k) for k in range(4)) == 2**3  # exact in integers
-    assert mix.component_width == pytest.approx(math.sqrt(0.5))
 
 
 def test_classical_density_round_zero_equals_quantum():

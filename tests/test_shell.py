@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -138,15 +139,16 @@ def test_write_csv_matches_row_reference():
 )
 def test_bulk_csv_matches_row_reference(capsys, argv):
     from quantumtoss.roundwaves import (
-        classical_mixture_density, correlation_eigenfunction, density_grid,
+        classical_mixture_density, correlation_eigenfunction, psi, uniform_grid,
     )
 
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     if argv[0] == "density":
-        grid = density_grid(5, -8.0, 8.0, 2001)
+        xi = uniform_grid(-8.0, 8.0, 2001)
+        wave = psi(5, xi)
         header = ["xi", "psi", "density"]
-        columns = [grid.xi, grid.psi, grid.density]
+        columns = [xi, wave, wave * wave]
     elif argv[0] == "classical":
         xi = np.linspace(-8.0, 8.0, 2001)
         header = ["xi", "density"]
@@ -692,6 +694,22 @@ def test_audit_opposite_extreme_kappas_stay_finite(capsys):
     assert code == 2 and "commutator" in err
 
 
+def test_operators_csv_skips_the_audit_json_runs(capsys):
+    # every operator is finite, but the Dekker pay-off commutator of the audit overflows
+    argv = ("operators", "--rounds", "10", "--kappa1", "1e300", "--kappa2", "1e-300")
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert header == ["matrix", "row", "col", "re", "im"] and len(rows) == 6 * 11**2
+    assert all(math.isfinite(float(r[3])) and math.isfinite(float(r[4])) for r in rows)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2 and out == ""
+    assert err == (
+        "quantumtoss: error: kappa1 = 1.000e+300, kappa2 = 1.000e-300 overflow the "
+        "pay-off commutator at rounds 10\n"
+    )
+
+
 def test_rounds_ceilings_exit_2(capsys):
     from quantumtoss.cli import SWEEP_ROUNDS_MAX
     from quantumtoss.numerics import EIGEN_DIM_MAX
@@ -917,3 +935,56 @@ def test_malformed_cutoff_list_starting_with_a_minus_sign(capsys, cutoffs):
     joined = run(capsys, "diverge", "--kind", "plane", f"--cutoffs={cutoffs}")
     assert joined[0] == 2 and "expected one argument" not in joined[2], joined[2]
     assert run(capsys, "diverge", "--kind", "plane", "--cutoffs", cutoffs) == joined
+
+
+# sha256 of stdout and of the --svg figure: a refactoring keeps every byte
+# of these outputs
+GOLDEN_OUTPUTS = [
+    (("density", "--n", "3", "--samples", "401", "--svg"),
+     "f6b5c477f89659ebac39c46f39caa851662df1a51e95856aaa53c2f39f654f11",
+     "a76db3dc2028f15b1a6a9666e7da1437a2ad40b8cee0eb8dd9adea315ae2285e"),
+    (("density", "--n", "12", "--xi-min", "-6", "--xi-max", "6.5", "--samples", "1001", "--svg"),
+     "d0743ec06a232c96ba00285a99c5d2e248be51db4d8dc77ed185bc13f171dc41",
+     "1f09400492fb535123fdedb867bce31f5ff31e33b440da6affe31b864e409862"),
+    (("compare", "--n", "4", "--svg"),
+     "772b1e698386281e26e7fec10d66f5ddcf47a04e90fb4e252a2bf4bc9c3a5d79",
+     "b015f56b5d70db40b93237dc21e4b1431bdae15cbdac1c94050938af9bda2cb6"),
+    (("classical", "--n", "5", "--samples", "801"),
+     "c4d5ce750742d7eb518526536c93efa786554547c0a9e6b83e92c3d046fb8a0c", None),
+    (("variance", "--rounds", "6", "--n", "2", "--player", "1", "--kappa1", "1.5"),
+     "2a37af41c80ab1d6566496ca46f0ef38ad928c21bd2208d4c1c83967f69c65f3", None),
+    (("variance", "--rounds", "6", "--n", "0", "--player", "2", "--kappa2", "0.7"),
+     "85d9571840d9835aaed767725f16214fa716701398572a119077e6981207d8fa", None),
+    (("variance", "--rounds", "6", "--n", "6", "--player", "1", "--kappa1", "3"),
+     "aae75f8d036effc4e8550db7d08d7453cdcb643664da48eade9235ea68511c19", None),
+    (("variance", "--rounds", "6", "--n", "6", "--player", "2", "--kappa1", "3"),
+     "78c3c3181bf3f7d39c7d25370c146801d7ec7a4602931072b7f75e66846aeddc", None),
+    (("spectrum", "--rounds", "7"),
+     "2be8e9d603206b0a9a46880bffcba619cf8304ecdca02ecf7344735bb795e496", None),
+    (("spectrum", "--rounds", "6", "--format", "json", "--kappa1", "2", "--kappa2", "0.5"),
+     "c851d43fb0eccc3e9931bb562a06dd4285146717b252e1a858cf9992c67782fd", None),
+    (("spectrum", "--rounds", "7", "--mode", "periodic"),
+     "cf777f3b961d32983ec8dcdc54f9266eee4ed051f98d053c9b52cf10a5a2bc3c", None),
+    (("spectrum", "--rounds", "8", "--mode", "periodic", "--format", "json"),
+     "b3d90774514f6accd7605e6869dce6da5e8d0593ef94d1a030e5ca025a87c72e", None),
+    (("sweep", "--rounds-max", "5"),
+     "de7f48166f5c6aea53590bbdaa805053f0cf46c23edc3a3c8675bcfbb3f11b9d", None),
+    (("sweep", "--rounds-max", "6", "--mode", "periodic", "--format", "json"),
+     "8d744d0aff6c20f9e8bd25c66173b624da69106cb073fc0a3c0b4804fcc3dd6c", None),
+    (("operators", "--rounds", "4"),
+     "ff72d9749f378755361abc2ab793b2ab60ec342849efc772760adb42b0c3d5a3", None),
+    (("operators", "--rounds", "4", "--format", "json"),
+     "4ad8fb37c1e1c896844cd3fb2a2973806fc0eb8552748ad12c24ed14a2bc73d1", None),
+    (("operators", "--rounds", "3", "--mode", "periodic", "--format", "json", "--kappa2", "2"),
+     "7ed3c73773f9ead3c0378e36499339c06ab546144c115ee27fe143526e3bdb15", None),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha, svg_sha", GOLDEN_OUTPUTS)
+def test_output_bytes_are_pinned(tmp_path, capsys, argv, stdout_sha, svg_sha):
+    svg = tmp_path / "fig.svg"
+    code, out, err = run(capsys, *argv, *((str(svg),) if svg_sha else ()))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    if svg_sha:
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
