@@ -1,3 +1,23 @@
-from .cli import main
+"""Command-line entry: ``python -m quantumtoss`` and the installed ``quantumtoss`` script.
 
-main()
+OpenBLAS is pinned to one thread before numpy loads.  A product split over
+two threads can round differently from the same product on one (``spectrum
+--rounds 128`` already prints other bytes), so a pool sized by the core
+count would make the output depend on the host; one thread keeps it a
+function of argv alone, and the products here (dimension at most 512) gain
+nothing from a pool.  The library never touches the environment: programs
+that import quantumtoss keep their own threading.
+"""
+
+import os
+
+
+def main() -> None:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    from .cli import main as run  # numpy loads here, after the pin
+
+    run()
+
+
+if __name__ == "__main__":
+    main()

@@ -167,7 +167,7 @@ def _cmd_operators(args):
     ops = build_operators(gs)
     audit_obj = None
     if args.format == "json":  # the CSV holds the operators alone
-        audit = audit_commutators(gs)
+        audit = audit_commutators(gs, ops)
         metrics = reports.audit_rows(audit)
         audit_obj = {
             "metrics": dict(zip(metrics["metric"], metrics["value"])),
@@ -178,7 +178,7 @@ def _cmd_operators(args):
 
 def _cmd_audit(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
-    audit = audit_commutators(gs)
+    audit = audit_commutators(gs, build_operators(gs))
     _emit(args, reports.audit_rows(audit), audit=reports.audit_detail(audit))
 
 

@@ -97,6 +97,13 @@ def _check_kappa_product(gs: GameSpace) -> None:
         )
 
 
+def _payoff(player: int, kappa: float, a_plus: np.ndarray, a_minus: np.ndarray) -> np.ndarray:
+    # pi1 = kappa (a_plus + a_minus) / sqrt(2), pi2 = -i kappa (a_plus - a_minus) / sqrt(2)
+    if player == 1:
+        return kappa * (a_plus + a_minus) / math.sqrt(2.0)
+    return -1j * kappa * (a_plus - a_minus) / math.sqrt(2.0)
+
+
 @dataclass(frozen=True)
 class OperatorSet:
     """All operators of one game space, built consistently from its ladder."""
@@ -123,8 +130,8 @@ def build_operators(gs: GameSpace) -> OperatorSet:
     _check_kappa_product(gs)
     a_plus, a_minus = build_ladder(gs)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        pi1 = gs.kappa1 * (a_plus + a_minus) / math.sqrt(2.0)
-        pi2 = -1j * gs.kappa2 * (a_plus - a_minus) / math.sqrt(2.0)
+        pi1 = _payoff(1, gs.kappa1, a_plus, a_minus)
+        pi2 = _payoff(2, gs.kappa2, a_plus, a_minus)
         precorrelation = 0.5 * (pi1 @ pi2 + pi2 @ pi1)
     _require_finite(gs, "pay-off operators", pi1, pi2, precorrelation)
     return OperatorSet(
@@ -188,8 +195,11 @@ class CommutatorAudit:
     zero_sector_value: complex
 
 
-def audit_commutators(gs: GameSpace) -> CommutatorAudit:
-    ops = build_operators(gs)
+def audit_commutators(gs: GameSpace, ops: OperatorSet) -> CommutatorAudit:
+    """Commutators of ``ops = build_operators(gs)`` checked against their closed forms.
+
+    InputError if the kappa scaling overflows the pay-off commutator.
+    """
     ladder_comm = commutator(ops.a_minus, ops.a_plus)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         payoff_comm = commutator(ops.pi1, ops.pi2)
@@ -263,8 +273,7 @@ def payoff_variance(gs: GameSpace, n: int, player: int) -> PayoffVariance:
             f"kappa{player} = {kappa:.3e} underflows its square {kappa * kappa:.3e} "
             f"below the smallest normal double {sys.float_info.min:.3e}"
         )
-    ops = build_operators(GameSpace(gs.rounds_max, gs.mode))
-    pi = ops.pi1 if player == 1 else ops.pi2
+    pi = _payoff(player, 1.0, *build_ladder(gs))
     # <n| pi^2 |n>, a Python float: its product overflows to inf without a numpy warning
     value = kappa * kappa * float((pi @ pi)[n, n].real)
     if not math.isfinite(value):

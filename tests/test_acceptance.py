@@ -72,7 +72,7 @@ def test_criterion_02_canonical_payoff_relation():
         for kappa1, kappa2 in ((1.0, 1.0), (2.0, 0.5), (7.3, 1.1)):
             for rounds in (2, 5, 9, 16):
                 gs = GameSpace(rounds, kappa1=kappa1, kappa2=kappa2)
-                audit = audit_commutators(gs)
+                audit = audit_commutators(gs, build_operators(gs))
                 assert audit.interior_max_deviation <= 1e-12 * kappa1 * kappa2
                 assert audit.payoff_sign == -1  # documented matrix-convention sign
 
@@ -114,7 +114,8 @@ def test_criterion_04_correlation_claims():
 def test_criterion_05_periodic_zero_sector():
     with criterion("5 (periodic games commute in the initial state)"):
         for rounds in range(2, 17):
-            audit = audit_commutators(GameSpace(rounds, mode="periodic"))
+            gs = GameSpace(rounds, mode="periodic")
+            audit = audit_commutators(gs, build_operators(gs))
             assert abs(audit.zero_sector_value) <= 1e-12
 
 

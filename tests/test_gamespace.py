@@ -144,13 +144,15 @@ def test_ladder_commutator_closed_forms():
         # the stored sqrt entries alone carry ~2u*(2N+1) of deviation, so the
         # flat 1e-14 bound is only meaningful up to N = 32
         tol = 1e-14 if rounds <= 32 else 1e-14 * rounds
-        audit = audit_commutators(GameSpace(rounds))
-        expected = np.diag(ladder_commutator_diagonal(GameSpace(rounds)))
+        gs = GameSpace(rounds)
+        audit = audit_commutators(gs, build_operators(gs))
+        expected = np.diag(ladder_commutator_diagonal(gs))
         np.testing.assert_allclose(audit.ladder_commutator, expected, atol=tol)
         assert abs(audit.ladder_trace) <= 1e-10
 
-        audit_p = audit_commutators(GameSpace(rounds, mode="periodic"))
-        expected_p = np.diag(ladder_commutator_diagonal(GameSpace(rounds, mode="periodic")))
+        gp = GameSpace(rounds, mode="periodic")
+        audit_p = audit_commutators(gp, build_operators(gp))
+        expected_p = np.diag(ladder_commutator_diagonal(gp))
         np.testing.assert_allclose(audit_p.ladder_commutator, expected_p, atol=tol)
         assert abs(audit_p.ladder_trace) <= 1e-10
 
@@ -159,7 +161,8 @@ def test_ladder_commutator_closed_forms():
 def test_audit_at_the_dimension_ceiling(mode):
     # rounds 511 is dimension EIGEN_DIM_MAX = 512; tolerances as at small N
     rounds = 511
-    audit = audit_commutators(GameSpace(rounds, mode))
+    gs = GameSpace(rounds, mode)
+    audit = audit_commutators(gs, build_operators(gs))
     assert abs(audit.ladder_trace) <= 1e-10
     if mode == "finite":
         assert audit.pattern_max_deviation["trace_zero"] <= 1e-14 * rounds
@@ -172,14 +175,16 @@ def test_audit_at_the_dimension_ceiling(mode):
 
 def test_audit_unit_trace_variant_misses_by_one():
     # the trace-1 diagonal cannot be a commutator; the audit must show the gap
-    audit = audit_commutators(GameSpace(9))
+    gs = GameSpace(9)
+    audit = audit_commutators(gs, build_operators(gs))
     assert audit.pattern_max_deviation["trace_zero"] <= 1e-14
     assert audit.pattern_max_deviation["unit_trace"] == pytest.approx(1.0, abs=1e-12)
     assert float(np.sum(unit_trace_diagonal(GameSpace(9)))) == pytest.approx(1.0)
 
 
 def test_audit_interior_payoff_commutator():
-    audit = audit_commutators(GameSpace(9))
+    gs = GameSpace(9)
+    audit = audit_commutators(gs, build_operators(gs))
     assert audit.interior_max_deviation <= 1e-14
     assert audit.payoff_sign == -1
 
@@ -188,12 +193,14 @@ def test_audit_periodic_interior_excludes_zero_sector():
     # periodic interior is 1 .. N-2: |0> commutes and must not count
     for rounds in (2, 3, 4, 9, 16, 40):
         for kappa1, kappa2 in ((1.0, 1.0), (2.5, 0.3), (1e3, 1e-2)):
-            audit = audit_commutators(GameSpace(rounds, "periodic", kappa1, kappa2))
+            gs = GameSpace(rounds, "periodic", kappa1, kappa2)
+            audit = audit_commutators(gs, build_operators(gs))
             assert audit.interior_max_deviation <= 1e-12 * kappa1 * kappa2
 
 
 def test_audit_periodic_pattern_exact():
-    audit = audit_commutators(GameSpace(2, mode="periodic"))
+    gs = GameSpace(2, mode="periodic")
+    audit = audit_commutators(gs, build_operators(gs))
     np.testing.assert_allclose(
         audit.ladder_commutator, np.diag([0.0, 1.0, -1.0]), atol=1e-14
     )
@@ -201,7 +208,8 @@ def test_audit_periodic_pattern_exact():
 
 
 def test_audit_periodic_zero_sector_commutes():
-    audit = audit_commutators(GameSpace(4, mode="periodic"))
+    gs = GameSpace(4, mode="periodic")
+    audit = audit_commutators(gs, build_operators(gs))
     assert abs(audit.zero_sector_value) <= 1e-14
 
 
@@ -270,10 +278,12 @@ def test_kappa_overflow_is_input_error_naming_both_kappas():
             build_operators(GameSpace(3, kappa1=1e200, kappa2=1e200))
         # operators finite, but the split products of the commutator overflow
         gs = GameSpace(10, kappa1=1e300, kappa2=1e-300)
-        assert np.all(np.isfinite(build_operators(gs).pi1))
+        ops = build_operators(gs)
+        assert np.all(np.isfinite(ops.pi1))
         with pytest.raises(InputError, match="kappa1 = 1.000e\\+300.*commutator"):
-            audit_commutators(gs)
-    audit = audit_commutators(GameSpace(3, kappa1=1e300, kappa2=1e-300))
+            audit_commutators(gs, ops)
+    gs = GameSpace(3, kappa1=1e300, kappa2=1e-300)
+    audit = audit_commutators(gs, build_operators(gs))
     assert np.all(np.isfinite(audit.payoff_commutator))
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,11 +169,11 @@ def test_commutator_antisymmetry(seed, dim):
 
 
 def sparse_signed_matrix(rng, dim, zero_rows):
-    """Random complex matrix with about half its parts zero, each zero signed at random."""
+    """Random complex matrix, a random share of its parts zero, each zero signed at random."""
     parts = []
     for _ in range(2):
-        part = rng.normal(size=(dim, dim))
-        part[rng.random((dim, dim)) < 0.5] = 0.0
+        part = rng.normal(size=(dim, dim)) * np.exp(rng.uniform(-30, 30, size=(dim, dim)))
+        part[rng.random((dim, dim)) < rng.random()] = 0.0
         part[zero_rows] = 0.0
         parts.append(np.where(part == 0.0, rng.choice([0.0, -0.0], size=(dim, dim)), part))
     m = np.empty((dim, dim), dtype=complex)  # set apart: re + 1j * im would unsign zeros
@@ -181,14 +182,20 @@ def sparse_signed_matrix(rng, dim, zero_rows):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10**6), dim=st.integers(1, 8))
-def test_commutator_matches_dense_dekker_bytes(seed, dim):
+@given(seed=st.integers(0, 10**6), dim=st.integers(1, 8), block_words=st.sampled_from([1, 5, 40, None]))
+def test_commutator_matches_dense_dekker_bytes(seed, dim, block_words):
     rng = np.random.default_rng(seed)
     zero_rows = rng.random(dim) < 0.25  # all zero in both a and b
     a = sparse_signed_matrix(rng, dim, zero_rows)
     b = sparse_signed_matrix(rng, dim, zero_rows)
-    for x, y in ((a, b), (b, a), (a, a)):
-        assert nx.commutator(x, y).tobytes() == dense_dekker_commutator(x, y).tobytes()
+    # small row blocks put block edges, and a short last block, inside these sizes
+    with mock.patch.object(nx, "_BLOCK_WORDS", block_words or nx._BLOCK_WORDS):
+        for x, y in ((a, b), (b, a), (a, a)):
+            got = nx.commutator(x, y)
+            assert got.tobytes() == dense_dekker_commutator(x, y).tobytes()
+            # swapped arguments negate it; 0 - z negates without making a -0,
+            # which the commutator never returns
+            assert nx.commutator(y, x).tobytes() == (0.0 - got).tobytes()
 
 
 @pytest.mark.parametrize("rounds", [*range(1, 41), 170])

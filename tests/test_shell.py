@@ -174,7 +174,8 @@ def test_operators_json_matches_json_dumps(capsys):
     )
     assert code == 0, err
     gs = GameSpace(5, "periodic", 0.3, 1.0)
-    ops, audit = build_operators(gs), audit_commutators(gs)
+    ops = build_operators(gs)
+    audit = audit_commutators(gs, ops)
     rows = []
     for name in ("a_plus", "a_minus", "number", "pi1", "pi2", "precorrelation"):
         m = getattr(ops, name)
@@ -841,6 +842,62 @@ def test_module_entry_point_matches_run_cli(capsys, argv, expected_code):
     assert proc.stderr.decode("utf-8") == err
     if expected_code:
         assert proc.stdout == b""
+
+
+def fresh_process(*args, threads=None):
+    """stdout of ``python *args`` with OPENBLAS_NUM_THREADS set to ``threads`` (None: unset)."""
+    src = os.path.dirname(os.path.dirname(quantumtoss.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=120, check=True)
+    return proc.stdout
+
+
+# the smallest spectrum found whose bytes differed between one and two
+# OpenBLAS threads while the pool followed the core count
+SPECTRUM_128 = ("spectrum", "--rounds", "128")
+
+
+def test_cli_bytes_do_not_depend_on_blas_threads():
+    outputs = {t: fresh_process("-m", "quantumtoss", *SPECTRUM_128, threads=t) for t in (None, "1", "2")}
+    assert outputs[None] == outputs["1"] == outputs["2"]
+
+
+def test_installed_script_is_the_pinning_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["quantumtoss"]
+    module, function = target.split(":")
+    code = f"from {module} import {function}; {function}()"
+    pinned = fresh_process("-m", "quantumtoss", *SPECTRUM_128, threads="1")
+    assert fresh_process("-c", code, *SPECTRUM_128, threads="2") == pinned
+
+
+def test_import_loads_no_numpy():
+    # python -m quantumtoss imports the package before __main__ pins OpenBLAS
+    code = "import sys, quantumtoss; print('numpy' in sys.modules)"
+    assert fresh_process("-c", code) == b"False\n"
+
+
+EXPORTS = (
+    "CorrelationReport", "CorrelationRow", "correlation_spectrum", "ConvergenceError",
+    "InputError", "CommutatorAudit", "GameSpace", "OperatorSet", "audit_commutators",
+    "build_ladder", "build_operators", "payoff_variance", "SpectralDecomposition", "adjoint",
+    "commutator", "hermitian_eigen", "ComparisonReport", "DivergenceReport", "PeakSet",
+    "classical_mixture_density", "compare_quantum_classical", "correlation_eigenfunction",
+    "density_peaks", "divergence_scan", "hermite_zeros", "psi",
+)
+
+
+def test_every_export_resolves_and_is_listed():
+    assert sorted(quantumtoss.__all__) == sorted(EXPORTS)
+    for name in EXPORTS:
+        assert name in dir(quantumtoss)
+        value = getattr(quantumtoss, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
 
 
 # captured from the renderer before its elements went through one writer each
