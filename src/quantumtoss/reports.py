@@ -1,20 +1,19 @@
 """Row assembly and CSV/JSON serialization for the command-line surface.
 
 Every subcommand's output is a table of equal-length columns, keyed by
-column name in output order: a float64 or int64 numpy array, formatted a
-whole column at a time, or a list of plain Python values (float/int/bool/
-str/None or lists of floats), formatted field by field.  The table's keys
+column name in output order: a float64 or int64 numpy array, formatted in
+bulk, or a list of plain Python values (float/int/bool/str/None or lists of
+floats), formatted field by field (strings once per distinct value).  The keys
 are both the CSV header and the JSON row keys, and each column is named in
 one place: a table of result objects takes its columns from the fields of the
 result class, in field order (``spectrum_rows``, and ``one_row`` of a
 ``ComparisonReport``, ``DivergenceReport``, ``PayoffVariance`` or
 ``PeakSet``); a table of derived columns is named by its ``*_rows`` builder,
 and a sampled grid by the subcommand that prints it.  CSV writes a float
-column byte for byte as Python's '%.17g' (17 significant digits, '.'
-decimal separator), a chunk of rows at a time through ``_floattext``, with
-'\\n' line endings and RFC-4180-style quoting; JSON keeps native doubles
-so a re-parse reproduces the report exactly, in the layout of
-``json.dumps(payload, indent=2)``.
+column byte for byte as Python's '%.17g' through ``_floattext``, adjacent
+float columns in one batch per chunk, with '\\n' line endings and
+RFC-4180-style quoting; JSON keeps native doubles so a re-parse
+reproduces the report exactly, in the layout of ``json.dumps(payload, indent=2)``.
 """
 
 from __future__ import annotations
@@ -59,17 +58,19 @@ def _columns(table: dict) -> list:
 
 
 def write_csv(table: dict) -> str:
-    """CSV document: the header line, then the rows, written a column at a time.
+    """CSV document: the header line, then the rows, written a chunk at a time.
 
     A float64 array column is written with numpy integer arithmetic, byte
     for byte as '%.17g' (the bytes of format_field), and never needs
     quoting.  An int64 array column goes the same way: '%.17g' % float(i)
     == str(i) for every |i| < 2^53, so it is written as format_field writes
     an int.  The fields of a list column are formatted and escaped one by
-    one.
+    one, those of a column of strings once per distinct value.
     """
     columns = [
         ("%.17g", col) if isinstance(col, np.ndarray)
+        else ("%s", list(map({v: _escape(v) for v in set(col)}.__getitem__, col)))
+        if set(map(type, col)) == {str}
         else ("%s", [_escape(format_field(v)) for v in col])
         for col in _columns(table)
     ]

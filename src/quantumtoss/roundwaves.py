@@ -232,6 +232,9 @@ def correlation_eigenfunction(lam: float, ordering: str, grid) -> np.ndarray:
         raise InputError("grid must be strictly positive")
     if np.any(np.diff(x) <= 0.0):
         raise InputError("grid must be strictly ascending")
+    end = max(float(x[0]), float(x[-1]), key=lambda v: abs(math.log(v)))
+    if not math.isfinite(lam * math.log(end)):
+        raise InputError(f"lambda * ln(xi) overflows at the grid end xi = {end!r}: lambda = {lam!r}")
     s = complex(-ORDERINGS[ordering], -lam)
     return np.exp(s * np.log(x.astype(complex)))
 

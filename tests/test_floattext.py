@@ -1,4 +1,4 @@
-"""The column-at-a-time float writer against Python's own '%.17g' and '%.3f'."""
+"""The chunked float writer against Python's own '%.17g' and '%.3f'."""
 
 import os
 import subprocess
@@ -91,7 +91,7 @@ def test_exact_ties_where_the_power_of_ten_is_inexact():
     # to Python's formatting
     k = np.arange(1, 64, 2)
     x = np.concatenate([k / 2.0**24, k / 2.0**25])
-    _, _, exact = _g17(x, ord(","))
+    exact = _g17(x, ord(","), *np.empty((2, x.size, 7), np.uint64))
     assert not exact.all()
     check(x)
 
@@ -126,6 +126,36 @@ def test_table_longer_than_a_chunk_with_fallback_rows_at_the_boundary():
     for template in TEMPLATES:
         pairs = "".join(f"{template % a},{template % b}\n" for a, b in zip(x.tolist(), (-x).tolist()))
         assert same_lines(rows_text([(template, x), (template, -x)], ",", "\n"), pairs) is None
+
+
+STRINGS = ["", "a", "café", "q,r", "x" * 20, '"quoted"']
+
+
+def mixed_column(rng, template, rows):
+    """Random bit patterns, plain decimals, %.3f ties and specials, or strings."""
+    if template == "%s":
+        return [STRINGS[k] for k in rng.integers(len(STRINGS), size=rows)]
+    bits = rng.integers(0, 2**64, size=rows, dtype=np.uint64).view(np.float64)
+    plain = rng.normal(size=rows) * 10.0 ** rng.integers(-6, 9, size=rows)
+    ties = np.round(rng.normal(size=rows) * 1e5) / 16.0
+    specials = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -2.0**41, 5e-324], size=rows)
+    return np.choose(rng.choice(4, size=rows, p=[0.3, 0.4, 0.25, 0.05]), [bits, plain, ties, specials])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(("%.17g", "%.3f", "%s")), min_size=2, max_size=10),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 2.5), st.sampled_from([(",", "\n"), (",", " ")]))
+def test_mixed_tables_as_python_writes_them_row_by_row(templates, seed, chunks, marks):
+    # lengths up to two and a half chunks, so chunk boundaries fall inside the table
+    rows = 1 + int(chunks * _CHUNK / max(sum(t != "%s" for t in templates), 1))
+    rng = np.random.default_rng(seed)
+    columns = [(t, mixed_column(rng, t, rows)) for t in templates]
+    sep, end = marks
+    want = "".join(
+        sep.join(t % v if t != "%s" else v for t, v in zip(templates, row)) + end
+        for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for _, c in columns))
+    )
+    assert same_lines(rows_text(columns, sep, end), want) is None
 
 
 def test_render_svg_polyline_bytes_match_the_pair_join():

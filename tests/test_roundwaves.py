@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -388,6 +390,21 @@ def test_real_arguments_accept_numpy_scalars():
         correlation_eigenfunction(1.0, "weyl", grid),
     )
     np.testing.assert_array_equal(uniform_grid(np.float32(-8.0), np.int64(8), 5), np.linspace(-8.0, 8.0, 5))
+
+
+def test_correlation_eigenfunction_rejects_an_overflowing_phase():
+    # lam * ln(xi) beyond the largest double gave nan values; just below it
+    # the phase is finite and no warning is raised
+    grid = np.array([1e-3, 100.0])
+    edge = sys.float_info.max / math.log(1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(correlation_eigenfunction(-edge * (1 - 1e-15), "printed", grid)))
+        for lam in (-edge * (1 + 1e-15), 5e307, -sys.float_info.max):
+            with pytest.raises(InputError, match=re.escape(f"at the grid end xi = 0.001: lambda = {lam!r}")):
+                correlation_eigenfunction(lam, "printed", grid)
+    with pytest.raises(InputError, match=r"xi = 1e\+300: lambda = 1e\+306$"):
+        correlation_eigenfunction(1e306, "weyl", np.array([0.5, 1e300]))
 
 
 def test_correlation_eigenfunction_validation():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
@@ -406,6 +407,16 @@ def test_compare_row_and_markers(tmp_path, capsys):
     doc = svg_path.read_text()
     assert doc.count("<polyline") == 2
     assert doc.count('stroke-dasharray="5,4"') >= 6  # marker lines plus legend keys
+
+
+def test_corr_eigen_phase_overflow_exits_2(capsys):
+    # gave RuntimeWarnings and nan rows with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "corr-eigen", "--lambda", "-5e307", "--ordering", "printed",
+                             "--samples", "5", "--xi-min", "0.001", "--xi-max", "100")
+    assert (code, out) == (2, "")
+    assert err == "quantumtoss: error: lambda * ln(xi) overflows at the grid end xi = 0.001: lambda = -5e+307\n"
 
 
 def test_corr_eigen_rows(capsys):
@@ -1034,6 +1045,16 @@ GOLDEN_OUTPUTS = [
      "4ad8fb37c1e1c896844cd3fb2a2973806fc0eb8552748ad12c24ed14a2bc73d1", None),
     (("operators", "--rounds", "3", "--mode", "periodic", "--format", "json", "--kappa2", "2"),
      "7ed3c73773f9ead3c0378e36499339c06ab546144c115ee27fe143526e3bdb15", None),
+    # tables of several float chunks, with string columns between float runs
+    (("corr-eigen", "--lambda", "1.5", "--samples", "20000"),
+     "891381a3c832d1694b117cabb95813bf05c53b04ddbcd267326634836a6e711b", None),
+    (("density", "--n", "7", "--samples", "10000", "--svg"),
+     "061fad901c6184b1b70a8ab4ed5d8d2a88fbc6f869e13850ad32c506c2fcf664",
+     "02d9c5206f77431068459e0088f5fe14baa70803a7ea7709070dfd81d3ebef4f"),
+    (("operators", "--rounds", "40", "--mode", "periodic"),
+     "4bdb6e05091f2597141bf4dfea82eb5101a52c1860365d509066d2ce6a935ef8", None),
+    (("sweep", "--rounds-max", "20", "--mode", "periodic"),
+     "a0d7cd4d2e89b964c10f6133d329d71f5a038b74ed15b07d6982bfd01e4f3477", None),
 ]
 
 
