@@ -1055,6 +1055,16 @@ GOLDEN_OUTPUTS = [
      "4bdb6e05091f2597141bf4dfea82eb5101a52c1860365d509066d2ce6a935ef8", None),
     (("sweep", "--rounds-max", "20", "--mode", "periodic"),
      "a0d7cd4d2e89b964c10f6133d329d71f5a038b74ed15b07d6982bfd01e4f3477", None),
+    # figures whose axes start off a tick, reach far past zero, or carry many markers
+    (("classical", "--n", "5", "--samples", "801", "--svg"),
+     "c4d5ce750742d7eb518526536c93efa786554547c0a9e6b83e92c3d046fb8a0c",
+     "ba9ad220057ffbeadebf7cde2a586fedaeb88ba2d3bec9de1a86e7e95b777368"),
+    (("density", "--n", "2", "--xi-min=-3", "--xi-max", "40", "--samples", "999", "--svg"),
+     "b77ee26f58ab4cb1f89b93c56c020cfad6ed5c42feff5540903c75cfa39a63b9",
+     "f46d8b5ab8c7a943777287eff47dde91169e07923f08004ca2f3e4a00085ebc6"),
+    (("compare", "--n", "17", "--svg"),
+     "73729211f752f4cb24ba03b1d2b15c6a54f75bd108630696a98424060f162d19",
+     "5b55d8df47478fca20474b95fc7ac81d4c80eee2d3874e41c9353b4d30496354"),
 ]
 
 
