@@ -10,13 +10,14 @@ that import quantumtoss keep their own threading.
 """
 
 import os
+import sys
 
 
 def main() -> None:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    from .cli import main as run  # numpy loads here, after the pin
+    from .cli import run_cli  # numpy loads here, after the pin
 
-    run()
+    sys.exit(run_cli(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -237,15 +237,15 @@ def _chunk(columns, marks) -> str:
     return str(text, "utf-8")
 
 
-def rows_text(columns, sep: str, end: str) -> str:
-    """Rows of ``columns``, fields joined by ``sep`` and each row ended by ``end``.
+def rows_text(columns, end: str) -> str:
+    """Rows of ``columns``, fields joined by "," and each row ended by ``end``.
 
     ``columns`` is a list of (template, values) of equal length: "%.17g" or
     "%.3f" with a float64 array, written byte for byte as ``template %
-    value``, or "%s" with a list of strings, written as they are.  ``sep``
-    and ``end`` are single ASCII characters.
+    value``, or "%s" with a list of strings, written as they are.  ``end``
+    is a single ASCII character.
     """
     rows = len(columns[0][1]) if columns else 0
-    marks = np.array([ord(sep)] * (len(columns) - 1) + [ord(end)], _U)
+    marks = np.array([ord(",")] * (len(columns) - 1) + [ord(end)], _U)
     step = max(_CHUNK // max(sum(t != "%s" for t, _ in columns), 1), 1)
     return "".join(_chunk([(t, v[lo:lo + step]) for t, v in columns], marks) for lo in range(0, rows, step))

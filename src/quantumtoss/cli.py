@@ -150,7 +150,7 @@ def _emit(args, table, audit=None, series=(), markers=()):
     config holds every parsed value but --out, in flag order.
     """
     if getattr(args, "svg", None) is not None:
-        _write(args.svg, render_svg(series, x_label="xi", y_label="density", markers=markers))
+        _write(args.svg, render_svg(series, markers))
     if getattr(args, "format", "csv") == "json":
         config = {k: v for k, v in vars(args).items() if k not in ("out", "run")}
         text = reports.write_json(config, table, audit)
@@ -248,7 +248,7 @@ def _cmd_diverge(args):
     _emit(args, reports.one_row(vars(divergence_scan(args.kind, args.cutoffs))))
 
 
-def run_cli(argv=None) -> int:
+def run_cli(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -263,7 +263,3 @@ def run_cli(argv=None) -> int:
     except (ConvergenceError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
-
-
-def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))

@@ -74,7 +74,7 @@ def write_csv(table: dict) -> str:
         else ("%s", [_escape(format_field(v)) for v in col])
         for col in _columns(table)
     ]
-    return ",".join(_escape(h) for h in table) + "\n" + rows_text(columns, ",", "\n")
+    return ",".join(_escape(h) for h in table) + "\n" + rows_text(columns, "\n")
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -35,9 +35,6 @@ ORDERINGS = {"printed": 1.0, "weyl": 0.5}
 DIVERGENCE_KINDS = ("plane", *ORDERINGS)
 
 _QUAD_STEP = 1e-3
-# smallest step of central_second_difference: below eps^(1/3) the rounding
-# term ~4 eps |f| / h^2 outgrows the O(h^2) truncation error it should beat
-STEP_MIN = float(np.finfo(float).eps ** (1 / 3))
 
 
 def _as_grid(xi):
@@ -132,20 +129,12 @@ def density_peaks(n: int) -> PeakSet:
     pi1[n, n - 1] = pi1[n - 1, n] = math.sqrt(n)
     maxima = _folded_spectrum(pi1)
 
-    d2 = central_second_difference(lambda x: psi(n, x) ** 2, maxima, 1e-4)
+    # the second difference at step 1e-4, times 1e-8: the sign is all the check reads
+    d2 = psi(n, maxima + 1e-4) ** 2 - 2.0 * psi(n, maxima) ** 2 + psi(n, maxima - 1e-4) ** 2
     bad = np.flatnonzero(d2 >= 0.0)
     if bad.size:
         raise ConvergenceError(f"stationary point {float(maxima[bad[0]])!r} is not a density maximum")
     return PeakSet(n=n, maxima=maxima, classical_centers=centers)
-
-
-def central_second_difference(fn, x, h: float):
-    """(fn(x+h) - 2 fn(x) + fn(x-h)) / h^2 on scalars or arrays, for h >= STEP_MIN."""
-    h = as_real(h, "step h", positive=True)
-    if h < STEP_MIN:
-        raise InputError(f"step h must be at least {STEP_MIN:.6g}, got {h!r}")
-    x = _as_grid(x)
-    return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
 
 
 def classical_mixture_density(n: int, grid) -> np.ndarray:
@@ -222,7 +211,8 @@ def correlation_eigenfunction(lam: float, ordering: str, grid) -> np.ndarray:
     ``lam`` is the eigenvalue in units of kappa1*kappa2.  The exponent is
     s = -1 - i lam ("printed" ordering) or s = -1/2 - i lam ("weyl",
     symmetrized); the imaginary part is a pure phase, so |psi| follows only
-    the ordering.  The grid must be strictly positive and ascending.
+    the ordering.  The grid must be strictly positive and ascending, and
+    start where |psi| = xi^Re(s) is a finite double.
     """
     if ordering not in tuple(ORDERINGS):  # a tuple also answers `in` for an unhashable value
         raise InputError(f"ordering must be one of {tuple(ORDERINGS)}, got {ordering!r}")
@@ -235,7 +225,11 @@ def correlation_eigenfunction(lam: float, ordering: str, grid) -> np.ndarray:
     end = max(float(x[0]), float(x[-1]), key=lambda v: abs(math.log(v)))
     if not math.isfinite(lam * math.log(end)):
         raise InputError(f"lambda * ln(xi) overflows at the grid end xi = {end!r}: lambda = {lam!r}")
-    s = complex(-ORDERINGS[ordering], -lam)
+    c = ORDERINGS[ordering]  # |xi^s| = xi^-c, largest at the grid start
+    if -c * math.log(x[0]) > math.log(np.finfo(float).max):
+        raise InputError(f"|xi^s| = xi^-{c:g} of the {ordering} ordering overflows "
+                         f"at the grid start xi = {float(x[0])!r}")
+    s = complex(-c, -lam)
     return np.exp(s * np.log(x.astype(complex)))
 
 

@@ -2,8 +2,8 @@
 
 The output is a pure function of the input series: fixed palette, fixed
 float formatting, no timestamps — identical input gives identical bytes.
-Series names, marker names and axis labels are XML-escaped (``&``, ``<``,
-``>``), so any text gives a well-formed document.
+The axes are labelled "xi" and "density".  Series and marker names are
+XML-escaped (``&``, ``<``, ``>``), so any name gives a well-formed document.
 """
 
 from __future__ import annotations
@@ -48,28 +48,34 @@ def _fmt(value: float) -> str:
     return format(float(value), ".3f")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
-    norm = raw / mag
-    if norm < 1.5:
-        step = mag
-    elif norm < 3.5:
-        step = 2.0 * mag
-    elif norm < 7.5:
-        step = 5.0 * mag
-    else:
-        step = 10.0 * mag
-    first = math.ceil(lo / step - 1e-9) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(t) < step * 1e-9 else t)
-        t += step
-    return ticks
+# Heckbert's nice numbers: a step of 1, 2, 5 or 10 times a power of ten, the
+# multiplier taken from the first row whose edge exceeds (span / 6) / power
+_STEPS = ((1.0, 1.5), (2.0, 3.5), (5.0, 7.5), (10.0, math.inf))
+
+
+def _tick_step(span: float) -> float:
+    """Nice step for about six ticks over ``span``; 0.0 where its power of ten underflows."""
+    raw = span / 6
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    return mag * next(m for m, edge in _STEPS if raw / mag < edge) if mag else 0.0
+
+
+def _axis(lo: float, hi: float, pad: float) -> tuple[float, float]:
+    """Axis ends for data in [lo, hi], each moved out by ``pad`` times the width.
+
+    Data too narrow for a nonzero tick step (equal ends, or a width of a few
+    subnormals) is first widened by 1 each way.
+    """
+    margin = pad * (hi - lo)
+    if not _tick_step((hi + margin) - (lo - margin)):
+        lo, hi = lo - 1.0, hi + 1.0
+        margin = pad * (hi - lo)
+    return lo - margin, hi + margin
+
+
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    step = _tick_step(hi - lo)
+    return [k * step for k in range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)]
 
 
 def _line(x1, y1, x2, y2, color, width, extra="") -> str:
@@ -86,7 +92,7 @@ def _text(x, y, body, attrs="") -> str:
     return f'<text x="{_fmt(x)}" y="{_fmt(y)}"{attrs}>{html.escape(str(body), quote=False)}</text>'
 
 
-def render_svg(series, x_label: str = "", y_label: str = "", markers=()) -> str:
+def render_svg(series, markers=()) -> str:
     """Standalone SVG 1.1 document: one polyline per series plus a legend.
 
     ``series`` is a sequence of Series (each at least 2 finite points);
@@ -106,16 +112,10 @@ def render_svg(series, x_label: str = "", y_label: str = "", markers=()) -> str:
             raise InputError(f"series {s.name!r} has non-finite values")
 
     marks = [float(x) for m in markers for x in m.xs]
-    x_lo = min([float(np.min(s.x)) for s in series] + marks)
-    x_hi = max([float(np.max(s.x)) for s in series] + marks)
-    y_lo = min(float(np.min(s.y)) for s in series)
-    y_hi = max(float(np.max(s.y)) for s in series)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _axis(min([float(np.min(s.x)) for s in series] + marks),
+                       max([float(np.max(s.x)) for s in series] + marks), 0.0)
+    y_lo, y_hi = _axis(min(float(np.min(s.y)) for s in series),
+                       max(float(np.max(s.y)) for s in series), 0.05)
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -146,19 +146,17 @@ def render_svg(series, x_label: str = "", y_label: str = "", markers=()) -> str:
         y = py(t)
         parts.append(_line(MARGIN_LEFT - 5, y, MARGIN_LEFT, y, "#000000", 1))
         parts.append(_text(MARGIN_LEFT - 8, y + 4, format(t, "g"), ' text-anchor="end"'))
-    if x_label:
-        parts.append(_text(MARGIN_LEFT + plot_w / 2, HEIGHT - 12, x_label, _MIDDLE))
-    if y_label:
-        cx, cy = 18, MARGIN_TOP + plot_h / 2
-        rotate = f' transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})"'
-        parts.append(_text(cx, cy, y_label, _MIDDLE + rotate))
+    parts.append(_text(MARGIN_LEFT + plot_w / 2, HEIGHT - 12, "xi", _MIDDLE))
+    cx, cy = 18, MARGIN_TOP + plot_h / 2
+    rotate = f' transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})"'
+    parts.append(_text(cx, cy, "density", _MIDDLE + rotate))
 
     # one legend entry and one palette color per series, then per marker group
     legend = [(s.name, "") for s in series] + [(m.name, _DASH) for m in markers]
     colors = [PALETTE[k % len(PALETTE)] for k in range(len(legend))]
     for s, color in zip(series, colors):
         xy = [("%.3f", px(np.asarray(s.x))), ("%.3f", py(np.asarray(s.y)))]
-        points = rows_text(xy, ",", " ")[:-1]
+        points = rows_text(xy, " ")[:-1]
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

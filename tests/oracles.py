@@ -30,7 +30,6 @@ from quantumtoss.roundwaves import (
     HERMITE_N_MAX,
     ORDERINGS,
     _as_grid,
-    central_second_difference,
     correlation_eigenfunction,
     psi,
 )
@@ -266,7 +265,7 @@ def schrodinger_residual(n: int, grid, h: float) -> float:
     bound = math.sqrt(2.0 * n + 1.0) + 6.0
     if x.size == 0 or float(np.max(np.abs(x))) > bound + 1e-9:
         raise InputError(f"grid must lie within [-{bound}, {bound}]")
-    d2 = central_second_difference(lambda t: psi(n, t), x, h)
+    d2 = (psi(n, x + h) - 2.0 * psi(n, x) + psi(n, x - h)) / (h * h)
     wave = psi(n, np.atleast_1d(x))
     resid = -d2 + np.atleast_1d(x) ** 2 * wave - (2.0 * n + 1.0) * wave
     return float(np.max(np.abs(resid)))

@@ -12,8 +12,6 @@ from quantumtoss.errors import ConvergenceError, InputError
 from quantumtoss.roundwaves import (
     COMPARE_N_MAX,
     PEAKS_N_MAX,
-    STEP_MIN,
-    central_second_difference,
     classical_mixture_density,
     compare_quantum_classical,
     correlation_eigenfunction,
@@ -217,12 +215,6 @@ def test_density_peaks_range_check():
         density_peaks(101)
 
 
-def test_central_second_difference_of_zero_is_zero():
-    xs = np.linspace(-1, 1, 11)
-    out = central_second_difference(lambda x: np.zeros_like(x), xs, 1e-3)
-    np.testing.assert_array_equal(out, np.zeros(11))
-
-
 def test_schrodinger_residual_small_and_second_order():
     grid = np.linspace(-3.0, 3.0, 121)
     assert schrodinger_residual(0, grid, 1e-3) <= 1e-5
@@ -235,25 +227,6 @@ def test_schrodinger_residual_small_and_second_order():
 def test_schrodinger_residual_grid_bound():
     with pytest.raises(InputError):
         schrodinger_residual(0, np.linspace(-20, 20, 11), 1e-3)
-
-
-@pytest.mark.parametrize("h", [1e-200, 1e-12, 1e-8])
-def test_step_below_the_rounding_floor_rejected(h):
-    grid = np.array([0.0, 0.5])
-    message = f"^step h must be at least {STEP_MIN:.6g}, got {h!r}$"
-    with pytest.raises(InputError, match=message):
-        central_second_difference(np.sin, grid, h)
-    with pytest.raises(InputError, match=message):
-        schrodinger_residual(2, grid, h)
-
-
-@pytest.mark.parametrize("h", [1e-3, 5e-4, 1e-4])
-def test_steps_above_the_rounding_floor_accepted(h):
-    grid = np.array([0.0, 0.5])
-    assert 6.0e-6 < STEP_MIN < 6.1e-6
-    d2 = central_second_difference(np.sin, grid, h)
-    np.testing.assert_allclose(d2, -np.sin(grid), atol=1e-6)
-    assert schrodinger_residual(2, grid, h) <= 2e-6
 
 
 def test_classical_mixture_weights_and_centers():
@@ -379,8 +352,6 @@ def test_real_arguments_rejected_as_input_errors(value):
         uniform_grid(value, 8.0, 5)
     with pytest.raises(InputError, match=f"^xi_max must be a finite real number, got {value!r}$"):
         uniform_grid(-8.0, value, 5)
-    with pytest.raises(InputError, match=f"^step h must be a positive finite number, got {value!r}$"):
-        central_second_difference(np.sin, grid, value)
 
 
 def test_real_arguments_accept_numpy_scalars():

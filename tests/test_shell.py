@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -243,7 +244,7 @@ def test_render_svg_polyline_matches_scalar_reference():
     flat = Series("flat", xs, np.full(xs.size, 0.125))
     markers = [MarkerGroup("refs", (-9.5, 0.0, 2.25))]
     for series, marks in (([wave, flat], markers), ([flat], []), ([wave], markers)):
-        doc = render_svg(series, x_label="x", y_label="y", markers=marks)
+        doc = render_svg(series, marks)
         polylines = [line.split('"')[1] for line in doc.splitlines()
                      if line.startswith("<polyline")]
         assert polylines == _polyline_reference(series, marks)
@@ -417,6 +418,20 @@ def test_corr_eigen_phase_overflow_exits_2(capsys):
                              "--samples", "5", "--xi-min", "0.001", "--xi-max", "100")
     assert (code, out) == (2, "")
     assert err == "quantumtoss: error: lambda * ln(xi) overflows at the grid end xi = 0.001: lambda = -5e+307\n"
+
+
+@pytest.mark.parametrize("ordering", ["printed", "weyl"])
+def test_corr_eigen_modulus_overflow_at_a_subnormal_grid_start(capsys, ordering):
+    # |xi^s| = xi^-c at xi = 1e-320: 1e320 (printed) overflows, 1e160 (weyl) does not
+    code, out, err = run(capsys, "corr-eigen", "--lambda", "0", "--ordering", ordering,
+                         "--samples", "3", "--xi-min", "1e-320", "--xi-max", "1")
+    if ordering == "printed":
+        assert (code, out) == (2, "")
+        assert err == ("quantumtoss: error: |xi^s| = xi^-1 of the printed ordering overflows "
+                       "at the grid start xi = 1e-320\n")
+    else:
+        assert (code, err) == (0, "")
+        assert float(parse_csv(out)[1][0][3]) == pytest.approx(1e160, rel=1e-5)
 
 
 def test_corr_eigen_rows(capsys):
@@ -757,8 +772,8 @@ def test_render_svg_deterministic_and_standalone():
     xs = np.linspace(0, 1, 20)
     series = [Series("a", xs, np.sin(xs)), Series("b", xs, np.cos(xs))]
     markers = [MarkerGroup("refs", (0.25, 0.75))]
-    first = render_svg(series, x_label="x", y_label="y", markers=markers)
-    second = render_svg(series, x_label="x", y_label="y", markers=markers)
+    first = render_svg(series, markers)
+    second = render_svg(series, markers)
     assert first == second
     assert first.startswith("<?xml")
     assert 'version="1.1"' in first
@@ -966,7 +981,7 @@ def test_render_svg_golden_figure():
         Series("classical walk n=1", xs, np.array([1.0, 0.25, 0.0])),
     ]
     markers = [MarkerGroup("quantum peaks", (2.5, 7.5))]
-    assert render_svg(series, x_label="xi", y_label="density", markers=markers) == GOLDEN_SVG
+    assert render_svg(series, markers) == GOLDEN_SVG
 
 
 def test_render_svg_escapes_names_and_labels():
@@ -974,13 +989,44 @@ def test_render_svg_escapes_names_and_labels():
     names = ["P & Q", "<a> b", "x > y && z"]
     doc = render_svg(
         [Series(names[0], xs, xs), Series(names[1], xs, 1.0 - xs)],
-        x_label="xi < 1 & more",
-        y_label="<density>",
-        markers=[MarkerGroup(names[2], (0.5,))],
+        [MarkerGroup(names[2], (0.5,))],
     )
     svg = "{http://www.w3.org/2000/svg}"
     texts = [t.text for t in ElementTree.fromstring(doc.encode()).iter(f"{svg}text")]
-    assert texts[-5:] == ["xi < 1 & more", "<density>", *names]
+    assert texts[-5:] == ["xi", "density", *names]
+
+
+@pytest.mark.parametrize("command", ["density", "classical"])
+def test_axis_two_ulps_wide_finishes(tmp_path, command):
+    # the x tick step, 5e-17, is below half an ulp of 1: a tick position
+    # advanced by adding it never moved, and the tick list grew without bound
+    limit = 2**30  # address space of the child, so a runaway list fails fast
+
+    def bounded():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    svg = tmp_path / "f.svg"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quantumtoss.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quantumtoss", command, "--n", "0", "--xi-min", "1",
+         "--xi-max", "1.0000000000000004", "--samples", "2", "--svg", str(svg)],
+        env=env, capture_output=True, timeout=5, preexec_fn=bounded,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ElementTree.parse(svg)
+
+
+@pytest.mark.parametrize("xi_min, xi_max", [
+    ("27.25", "27.3"),  # a subnormal density span: its power of ten underflowed to 0
+    ("27.28", "27.29"),  # a density span of one subnormal: a sixth of it is 0
+    ("0", "5e-324"),  # the same on the x axis
+])
+def test_axis_too_narrow_for_a_tick_step_is_widened(capsys, tmp_path, xi_min, xi_max):
+    svg = tmp_path / "f.svg"
+    code, out, err = run(capsys, "density", "--n", "0", "--xi-min", xi_min, "--xi-max", xi_max,
+                         "--samples", "2", "--svg", str(svg))
+    assert (code, err) == (0, "")
+    ElementTree.parse(svg)
 
 
 def test_render_svg_rejects_non_finite_series():
