@@ -7,6 +7,14 @@ count would make the output depend on the host; one thread keeps it a
 function of argv alone, and the products here (dimension at most 512) gain
 nothing from a pool.  The library never touches the environment: programs
 that import quantumtoss keep their own threading.
+
+The process ends with ``os._exit`` once stdout and stderr are flushed: the
+interpreter's teardown (module and object finalization, about 40 ms on a
+2-vCPU Linux VM) has nothing left to write, since every --out and --svg
+file is closed by then.  The explicit flush also makes a failed final
+write the documented I/O error (exit 1 with an error line) rather than an
+"Exception ignored" message and exit 120.  Only this entry ends early;
+``run_cli`` and the library return as before.
 """
 
 import os
@@ -15,9 +23,16 @@ import sys
 
 def main() -> None:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    from .cli import run_cli  # numpy loads here, after the pin
+    from .cli import PROG, run_cli  # numpy loads here, after the pin
 
-    sys.exit(run_cli(sys.argv[1:]))
+    code = run_cli(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ operators, audit, spectrum and sweep take --format json and --out PATH;
 density, classical and compare can additionally write an SVG figure to
 --svg PATH.  Exit codes: 0 success, 2 usage/invalid input, 1
 numerical failure or I/O error; a command that exits non-zero writes
-nothing to stdout.
+nothing to stdout.  A subcommand loads only the modules it runs: correlation
+for spectrum and sweep, svgplot under --svg.
 
     quantumtoss operators  --rounds 2 --mode periodic --format json
     quantumtoss spectrum   --rounds 4
@@ -25,7 +26,6 @@ import re
 import sys
 
 from . import reports
-from .correlation import correlation_spectrum
 from .errors import ConvergenceError, InputError
 from .gamespace import (
     MODES,
@@ -46,7 +46,6 @@ from .roundwaves import (
     psi,
     uniform_grid,
 )
-from .svgplot import MarkerGroup, Series, render_svg
 
 PROG = "quantumtoss"
 # largest --rounds-max of `sweep`: 128 spectra up to dimension 129, which
@@ -57,6 +56,16 @@ SWEEP_ROUNDS_MAX = 128
 # and a digit, a point, inf or nan (any case) as a value, so a malformed one
 # such as -2,x reaches its own type check
 _NEGATIVE_NUMBER = re.compile(r"(?i)^-(\d|\.|inf|nan)")
+
+
+def __getattr__(name):
+    # cli.correlation_spectrum reads as the function (a tracer rebinds it there),
+    # but correlation loads only when it is read or a spectrum runs
+    if name == "correlation_spectrum":
+        from .correlation import correlation_spectrum
+
+        return correlation_spectrum
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _cutoff_list(text: str) -> tuple[float, ...]:
@@ -143,14 +152,19 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _emit(args, table, audit=None, series=(), markers=()):
-    """Write the --svg figure of ``series``, then print the table or write it to --out.
+def _emit(args, table, audit=None, figure=None):
+    """Write the --svg figure, then print the table or write it to --out.
 
-    The figure comes first, so a failed write leaves stdout empty.  The JSON
-    config holds every parsed value but --out, in flag order.
+    ``figure()`` returns the figure's curves, each (name, x, y), and its
+    marker groups, each (name, xs); it runs, and svgplot loads, only under
+    --svg.  The figure comes first, so a failed write leaves stdout empty.
+    The JSON config holds every parsed value but --out, in flag order.
     """
     if getattr(args, "svg", None) is not None:
-        _write(args.svg, render_svg(series, markers))
+        from .svgplot import MarkerGroup, Series, render_svg
+
+        curves, markers = figure()
+        _write(args.svg, render_svg([Series(*c) for c in curves], [MarkerGroup(*m) for m in markers]))
     if getattr(args, "format", "csv") == "json":
         config = {k: v for k, v in vars(args).items() if k not in ("out", "run")}
         text = reports.write_json(config, table, audit)
@@ -183,11 +197,15 @@ def _cmd_audit(args):
 
 
 def _cmd_spectrum(args):
+    from .correlation import correlation_spectrum
+
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
     _emit(args, reports.spectrum_rows(correlation_spectrum(gs)))
 
 
 def _cmd_sweep(args):
+    from .correlation import correlation_spectrum
+
     as_int(args.rounds_max, "--rounds-max", 1, SWEEP_ROUNDS_MAX)
     tables = []
     for rounds in range(1, args.rounds_max + 1):
@@ -206,7 +224,7 @@ def _cmd_density(args):
     wave = psi(args.n, xi)
     density = wave * wave
     _emit(args, {"xi": xi, "psi": wave, "density": density},
-          series=[Series(f"round {args.n} density", xi, density)])
+          figure=lambda: ([(f"round {args.n} density", xi, density)], ()))
 
 
 def _cmd_peaks(args):
@@ -217,25 +235,26 @@ def _cmd_classical(args):
     xi = uniform_grid(args.xi_min, args.xi_max, args.samples)
     density = classical_mixture_density(args.n, xi)
     _emit(args, {"xi": xi, "density": density},
-          series=[Series(f"classical walk n={args.n}", xi, density)])
+          figure=lambda: ([(f"classical walk n={args.n}", xi, density)], ()))
 
 
 def _cmd_compare(args):
     rep = compare_quantum_classical(args.n)
-    half = float(args.n) + 4.0
-    xi = uniform_grid(-half, half, 1601)
-    _emit(
-        args,
-        reports.one_row(vars(rep)),
-        series=[
-            Series(f"round {args.n} density", xi, psi(args.n, xi) ** 2),
-            Series(f"classical walk n={args.n}", xi, classical_mixture_density(args.n, xi)),
-        ],
-        markers=[
-            MarkerGroup("quantum peaks", tuple(float(x) for x in rep.quantum_peaks)),
-            MarkerGroup("classical centers", tuple(float(x) for x in rep.classical_centers)),
-        ],
-    )
+
+    def figure():
+        half = float(args.n) + 4.0
+        xi = uniform_grid(-half, half, 1601)
+        curves = [
+            (f"round {args.n} density", xi, psi(args.n, xi) ** 2),
+            (f"classical walk n={args.n}", xi, classical_mixture_density(args.n, xi)),
+        ]
+        markers = [
+            ("quantum peaks", tuple(float(x) for x in rep.quantum_peaks)),
+            ("classical centers", tuple(float(x) for x in rep.classical_centers)),
+        ]
+        return curves, markers
+
+    _emit(args, reports.one_row(vars(rep)), figure=figure)
 
 
 def _cmd_corr_eigen(args):

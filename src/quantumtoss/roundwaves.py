@@ -59,7 +59,10 @@ def psi(n: int, xi):
         psi_prev = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
     if n == 0:
         return float(psi_prev[0]) if scalar else psi_prev
-    psi_cur = math.sqrt(2.0) * x * psi_prev
+    # past |xi| = DBL_MAX/sqrt(2) the factor sqrt(2)*xi overflows, and inf * 0
+    # would be nan; where psi_prev is 0 the product is 0 with the sign of xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_cur = np.where(psi_prev == 0.0, 0.0 * x, math.sqrt(2.0) * x * psi_prev)
     for k in range(1, n):
         psi_cur, psi_prev = (
             math.sqrt(2.0 / (k + 1)) * x * psi_cur - math.sqrt(k / (k + 1.0)) * psi_prev,

@@ -78,6 +78,15 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     return [k * step for k in range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)]
 
 
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """'%g' labels of the ticks, with more significant digits where six make two alike."""
+    for digits in range(6, 18):
+        labels = [format(t, f".{digits}g") for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
+
+
 def _line(x1, y1, x2, y2, color, width, extra="") -> str:
     return (
         f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
@@ -138,14 +147,15 @@ def render_svg(series, markers=()) -> str:
         f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
         'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
-    for t in _nice_ticks(x_lo, x_hi):
+    x_ticks, y_ticks = _nice_ticks(x_lo, x_hi), _nice_ticks(y_lo, y_hi)
+    for t, label in zip(x_ticks, _tick_labels(x_ticks)):
         x = px(t)
         parts.append(_line(x, bottom, x, bottom + 5, "#000000", 1))
-        parts.append(_text(x, bottom + 18, format(t, "g"), _MIDDLE))
-    for t in _nice_ticks(y_lo, y_hi):
+        parts.append(_text(x, bottom + 18, label, _MIDDLE))
+    for t, label in zip(y_ticks, _tick_labels(y_ticks)):
         y = py(t)
         parts.append(_line(MARGIN_LEFT - 5, y, MARGIN_LEFT, y, "#000000", 1))
-        parts.append(_text(MARGIN_LEFT - 8, y + 4, format(t, "g"), ' text-anchor="end"'))
+        parts.append(_text(MARGIN_LEFT - 8, y + 4, label, ' text-anchor="end"'))
     parts.append(_text(MARGIN_LEFT + plot_w / 2, HEIGHT - 12, "xi", _MIDDLE))
     cx, cy = 18, MARGIN_TOP + plot_h / 2
     rotate = f' transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})"'

@@ -626,6 +626,17 @@ def test_huge_grid_prints_zeros_without_warnings(capsys, command):
     assert float(rows[0][-1]) == float(rows[-1][-1]) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 168])
+def test_psi_past_dbl_max_over_sqrt2_is_zero_without_warnings(capsys, n):
+    # sqrt(2) * xi overflows there, and inf times the underflowed Gaussian was nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "density", "--n", str(n), "--xi-min", "0",
+                             "--xi-max", "1.7976931348623157e308", "--samples", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "1.7976931348623157e+308,0,0"
+
+
 @pytest.mark.parametrize(
     "argv",
     [("density", "--n", "3"), ("classical", "--n", "3"), ("corr-eigen", "--lambda", "1")],
@@ -855,19 +866,63 @@ def test_flag_surface_is_pinned():
     (("peaks", "--n", "2"), 0),
     (("spectrum", "--rounds", "3", "--format", "json"), 0),
     (("spectrum", "--rounds", "-1"), 2),
+    (("compare", "--n", "3", "--svg", "{file}"), 0),
+    (("sweep", "--rounds-max", "3", "--format", "json", "--out", "{file}"), 0),
 ])
-def test_module_entry_point_matches_run_cli(capsys, argv, expected_code):
-    code, out, err = run(capsys, *argv)
+def test_module_entry_point_matches_run_cli(tmp_path, capsys, argv, expected_code):
+    # the entry ends with os._exit: every byte of stdout, stderr and the
+    # written file must be out by then
+    inner, outer = tmp_path / "inner", tmp_path / "outer"
+    code, out, err = run(capsys, *(a.format(file=inner) for a in argv))
     src = os.path.dirname(os.path.dirname(quantumtoss.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "quantumtoss", *argv], env=env, capture_output=True, timeout=120
+        [sys.executable, "-m", "quantumtoss", *(a.format(file=outer) for a in argv)],
+        env=env, capture_output=True, timeout=120,
     )
     assert code == proc.returncode == expected_code
     assert proc.stdout == out.encode("utf-8")
     assert proc.stderr.decode("utf-8") == err
     if expected_code:
         assert proc.stdout == b""
+    if "{file}" in argv:
+        assert outer.read_bytes() == inner.read_bytes() != b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_stdout_is_an_io_error(unbuffered):
+    # buffered, the write succeeds and only the final flush fails: before the
+    # entry flushed itself, the interpreter reported it as "Exception ignored"
+    # and exited 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(quantumtoss.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantumtoss", "spectrum", "--rounds", "4"],
+            env=env, stdout=full, stderr=subprocess.PIPE, timeout=120,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.decode().startswith("quantumtoss: error: [Errno 28]"), proc.stderr
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (("spectrum", "--rounds", "3"), {"correlation"}, {"svgplot"}),
+    (("peaks", "--n", "2"), set(), {"correlation", "svgplot"}),
+    (("density", "--n", "1", "--samples", "3", "--svg", os.devnull), {"svgplot"}, {"correlation"}),
+])
+def test_entry_loads_only_the_modules_the_subcommand_runs(argv, loaded, absent):
+    src = os.path.dirname(os.path.dirname(quantumtoss.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "quantumtoss", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120, check=True,
+    )
+    # each "import time:" line ends with "| <module name>"
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()}
+    modules = {n.split(".", 1)[1] for n in names if n.startswith("quantumtoss.")}
+    assert loaded <= modules and not absent & modules, modules
 
 
 def fresh_process(*args, threads=None):
@@ -1027,6 +1082,18 @@ def test_axis_too_narrow_for_a_tick_step_is_widened(capsys, tmp_path, xi_min, xi
                          "--samples", "2", "--svg", str(svg))
     assert (code, err) == (0, "")
     ElementTree.parse(svg)
+
+
+def test_tick_labels_of_a_narrow_axis_far_from_zero_are_distinct(capsys, tmp_path):
+    # six significant digits read 58.4414 at every x tick here
+    svg = tmp_path / "f.svg"
+    code, out, err = run(capsys, "density", "--n", "0", "--xi-min", "58.44142",
+                         "--xi-max", "58.44145", "--samples", "5", "--svg", str(svg))
+    assert (code, err) == (0, "")
+    texts = ElementTree.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")
+    x_labels = [t.text for t in texts if t.get("y") == "462.000"]  # the x tick row
+    assert x_labels == ["58.44142", "58.441425", "58.44143", "58.441435", "58.44144",
+                        "58.441445", "58.44145"]
 
 
 def test_render_svg_rejects_non_finite_series():
