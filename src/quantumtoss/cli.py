@@ -5,8 +5,7 @@ operators, audit, spectrum and sweep take --format json and --out PATH;
 density, classical and compare can additionally write an SVG figure to
 --svg PATH.  Exit codes: 0 success, 2 usage/invalid input, 1
 numerical failure or I/O error; a command that exits non-zero writes
-nothing to stdout.  A subcommand loads only the modules it runs: correlation
-for spectrum and sweep, svgplot under --svg.
+nothing to stdout.
 
     quantumtoss operators  --rounds 2 --mode periodic --format json
     quantumtoss spectrum   --rounds 4
@@ -26,6 +25,7 @@ import re
 import sys
 
 from . import reports
+from .correlation import correlation_spectrum
 from .errors import ConvergenceError, InputError
 from .gamespace import (
     MODES,
@@ -56,16 +56,6 @@ SWEEP_ROUNDS_MAX = 128
 # and a digit, a point, inf or nan (any case) as a value, so a malformed one
 # such as -2,x reaches its own type check
 _NEGATIVE_NUMBER = re.compile(r"(?i)^-(\d|\.|inf|nan)")
-
-
-def __getattr__(name):
-    # cli.correlation_spectrum reads as the function (a tracer rebinds it there),
-    # but correlation loads only when it is read or a spectrum runs
-    if name == "correlation_spectrum":
-        from .correlation import correlation_spectrum
-
-        return correlation_spectrum
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _cutoff_list(text: str) -> tuple[float, ...]:
@@ -152,19 +142,18 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _emit(args, table, audit=None, figure=None):
-    """Write the --svg figure, then print the table or write it to --out.
+def _emit(args, table, audit=None, series=(), markers=()):
+    """Write the --svg figure of ``series``, then print the table or write it to --out.
 
-    ``figure()`` returns the figure's curves, each (name, x, y), and its
-    marker groups, each (name, xs); it runs, and svgplot loads, only under
-    --svg.  The figure comes first, so a failed write leaves stdout empty.
-    The JSON config holds every parsed value but --out, in flag order.
+    Each series is (name, x, y) and each marker group (name, xs); svgplot
+    loads only under --svg.  The figure comes first, so a failed write leaves
+    stdout empty.  The JSON config holds every parsed value but --out, in flag
+    order.
     """
     if getattr(args, "svg", None) is not None:
         from .svgplot import MarkerGroup, Series, render_svg
 
-        curves, markers = figure()
-        _write(args.svg, render_svg([Series(*c) for c in curves], [MarkerGroup(*m) for m in markers]))
+        _write(args.svg, render_svg([Series(*s) for s in series], [MarkerGroup(*m) for m in markers]))
     if getattr(args, "format", "csv") == "json":
         config = {k: v for k, v in vars(args).items() if k not in ("out", "run")}
         text = reports.write_json(config, table, audit)
@@ -197,15 +186,11 @@ def _cmd_audit(args):
 
 
 def _cmd_spectrum(args):
-    from .correlation import correlation_spectrum
-
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
     _emit(args, reports.spectrum_rows(correlation_spectrum(gs)))
 
 
 def _cmd_sweep(args):
-    from .correlation import correlation_spectrum
-
     as_int(args.rounds_max, "--rounds-max", 1, SWEEP_ROUNDS_MAX)
     tables = []
     for rounds in range(1, args.rounds_max + 1):
@@ -224,7 +209,7 @@ def _cmd_density(args):
     wave = psi(args.n, xi)
     density = wave * wave
     _emit(args, {"xi": xi, "psi": wave, "density": density},
-          figure=lambda: ([(f"round {args.n} density", xi, density)], ()))
+          series=[(f"round {args.n} density", xi, density)])
 
 
 def _cmd_peaks(args):
@@ -235,26 +220,25 @@ def _cmd_classical(args):
     xi = uniform_grid(args.xi_min, args.xi_max, args.samples)
     density = classical_mixture_density(args.n, xi)
     _emit(args, {"xi": xi, "density": density},
-          figure=lambda: ([(f"classical walk n={args.n}", xi, density)], ()))
+          series=[(f"classical walk n={args.n}", xi, density)])
 
 
 def _cmd_compare(args):
     rep = compare_quantum_classical(args.n)
-
-    def figure():
-        half = float(args.n) + 4.0
-        xi = uniform_grid(-half, half, 1601)
-        curves = [
+    half = float(args.n) + 4.0
+    xi = uniform_grid(-half, half, 1601)
+    _emit(
+        args,
+        reports.one_row(vars(rep)),
+        series=[
             (f"round {args.n} density", xi, psi(args.n, xi) ** 2),
             (f"classical walk n={args.n}", xi, classical_mixture_density(args.n, xi)),
-        ]
-        markers = [
+        ],
+        markers=[
             ("quantum peaks", tuple(float(x) for x in rep.quantum_peaks)),
             ("classical centers", tuple(float(x) for x in rep.classical_centers)),
-        ]
-        return curves, markers
-
-    _emit(args, reports.one_row(vars(rep)), figure=figure)
+        ],
+    )
 
 
 def _cmd_corr_eigen(args):

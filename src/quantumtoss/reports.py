@@ -20,15 +20,12 @@ from __future__ import annotations
 
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._floattext import rows_text
-
-if TYPE_CHECKING:  # annotations only: a command that prints no spectrum loads no correlation
-    from .correlation import CorrelationReport
-    from .gamespace import CommutatorAudit, OperatorSet
+from .correlation import CorrelationReport, CorrelationRow
+from .gamespace import CommutatorAudit, OperatorSet
 
 
 def format_field(value) -> str:
@@ -221,8 +218,6 @@ def spectrum_rows(report: CorrelationReport, rounds: int | None = None) -> dict:
     Each field declared ``float`` or ``int`` is a float64 or int64 array, in
     every block of a sweep alike, as is the ``rounds`` column of a sweep.
     """
-    from .correlation import CorrelationRow
-
     rows = report.rows
     table = {} if rounds is None else {"rounds": np.full(len(rows), rounds)}
     for f in fields(CorrelationRow):
