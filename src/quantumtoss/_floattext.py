@@ -226,6 +226,8 @@ def _chunk(columns, marks) -> str:
         x = np.stack([values for _, values in columns[j:stop]], axis=1, dtype=float)
         words, shown = (a[:, lo:hi].reshape(rows, stop - j, width) for a in (chars, mask))  # views
         exact = write(x, marks[j:stop], words, shown)
+        if exact.all():
+            continue
         shown[~exact] = 0
         for (r, i), value in zip(np.argwhere(~exact).tolist(), x[~exact].tolist()):
             slow.append((8 * (r * starts[-1] + lo + i * width), template % value + chr(marks[j + i])))
@@ -237,8 +239,9 @@ def _chunk(columns, marks) -> str:
     return str(text, "utf-8")
 
 
-def rows_text(columns, end: str) -> str:
-    """Rows of ``columns``, fields joined by "," and each row ended by ``end``.
+def rows_text(columns, end: str, head: str = "") -> str:
+    """``head``, then the rows of ``columns``, fields joined by "," and each
+    row ended by ``end``, in one join.
 
     ``columns`` is a list of (template, values) of equal length: "%.17g" or
     "%.3f" with a float64 array, written byte for byte as ``template %
@@ -248,4 +251,5 @@ def rows_text(columns, end: str) -> str:
     rows = len(columns[0][1]) if columns else 0
     marks = np.array([ord(",")] * (len(columns) - 1) + [ord(end)], _U)
     step = max(_CHUNK // max(sum(t != "%s" for t, _ in columns), 1), 1)
-    return "".join(_chunk([(t, v[lo:lo + step]) for t, v in columns], marks) for lo in range(0, rows, step))
+    return "".join([head] + [_chunk([(t, v[lo:lo + step]) for t, v in columns], marks)
+                             for lo in range(0, rows, step)])

@@ -1,19 +1,21 @@
 """Row assembly and CSV/JSON serialization for the command-line surface.
 
 Every subcommand's output is a table of equal-length columns, keyed by
-column name in output order: a float64 or int64 numpy array, formatted in
-bulk, or a list of plain Python values (float/int/bool/str/None or lists of
-floats), formatted field by field (strings once per distinct value).  The keys
+column name in output order: a float64 or int64 numpy array, or a list of
+plain Python values (float/int/bool/str/None or lists of floats).  The keys
 are both the CSV header and the JSON row keys, and each column is named in
 one place: a table of result objects takes its columns from the fields of the
 result class, in field order (``spectrum_rows``, and ``one_row`` of a
 ``ComparisonReport``, ``DivergenceReport``, ``PayoffVariance`` or
 ``PeakSet``); a table of derived columns is named by its ``*_rows`` builder,
-and a sampled grid by the subcommand that prints it.  CSV writes a float
+and a sampled grid by the subcommand that prints it.  CSV writes an array
 column byte for byte as Python's '%.17g' through ``_floattext``, adjacent
-float columns in one batch per chunk, with '\\n' line endings and
-RFC-4180-style quoting; JSON keeps native doubles so a re-parse
-reproduces the report exactly, in the layout of ``json.dumps(payload, indent=2)``.
+array columns in one batch per chunk, and a list column field by field (a
+column of strings once per distinct value), with '\\n' line endings and
+RFC-4180-style quoting.  JSON keeps native doubles so a re-parse reproduces
+the report exactly, in the layout of ``json.dumps(payload, indent=2)``: each
+distinct number of an array or of a list of floats is spelled once, and the
+document is built in one join.
 """
 
 from __future__ import annotations
@@ -74,28 +76,67 @@ def write_csv(table: dict) -> str:
         else ("%s", [_escape(format_field(v)) for v in col])
         for col in _columns(table)
     ]
-    return ",".join(_escape(h) for h in table) + "\n" + rows_text(columns, "\n")
+    return rows_text(columns, "\n", head=",".join(_escape(h) for h in table) + "\n")
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_floats(values) -> list[str]:
-    """JSON spelling of each float, as json.dumps writes it."""
-    reprs = list(map(float.__repr__, values))
-    return list(map(_JSON_NONFINITE.get, reprs, reprs))
+def _json_float(value: float) -> str:
+    """JSON spelling of one float, as json.dumps writes it."""
+    text = float.__repr__(value)
+    return _JSON_NONFINITE.get(text, text)
 
 
-def _json_items(values: list, level: int) -> list[str]:
-    """JSON spelling of each value; a list of one plain type in one pass."""
+def _json_numbers(a: np.ndarray) -> np.ndarray:
+    """JSON spelling of each number of a float or int array, as an object array of its shape.
+
+    Each distinct value is spelled once -- for floats each distinct bit
+    pattern, so -0.0 and every nan keep their json.dumps spelling -- and
+    gathered for its entries by a binary search in the sorted distinct values.
+    """
+    a = np.asarray(a, dtype=float if a.dtype.kind == "f" else np.int64)
+    bits = a.ravel().view(np.uint64)
+    distinct = np.sort(bits)
+    first = np.ones(distinct.size, dtype=bool)
+    first[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[first]
+    spell = _json_float if a.dtype.kind == "f" else int.__repr__
+    spellings = np.array(list(map(spell, distinct.view(a.dtype).tolist())), dtype=object)
+    return spellings[np.searchsorted(distinct, bits)].reshape(a.shape)
+
+
+def _json_items(values, level: int) -> list[str]:
+    """JSON spelling of each value of a list or 1-D array; numbers and
+    strings in one pass, other values one by one at ``level``."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "fi":
+            return _json_numbers(values).tolist()
+        values = values.tolist()
     kinds = set(map(type, values))
     if kinds == {float}:
-        return _json_floats(values)
+        return _json_numbers(np.array(values)).tolist()
     if kinds == {int}:
         return list(map(int.__repr__, values))
     if kinds == {str}:
         return list(map(_json_str, values))
     return [_json(v, level) for v in values]
+
+
+def _json_block(items: list[str], level: int, brackets: str = "[]") -> str:
+    """Spelled items as a list (or with "{}", the members of an object)
+    in the json.dumps(indent=2) layout, nested ``level`` deep."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _json_nested(cells: np.ndarray, level: int) -> str:
+    """An array of spellings as nested lists, laid out a row at a time."""
+    if cells.ndim == 1:
+        return _json_block(cells.tolist(), level)
+    return _json_block([_json_nested(row, level + 1) for row in cells], level)
 
 
 def _json(value, level: int) -> str:
@@ -107,53 +148,52 @@ def _json(value, level: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _json_floats([float(value)])[0]
+        return _json_float(float(value))
     if isinstance(value, str):
         return _json_str(value)
-    inner = "\n" + "  " * (level + 1)
     if isinstance(value, dict):
-        items = [f"{_json_str(k)}: {_json(v, level + 1)}" for k, v in value.items()]
-        opening, closing = "{", "}"
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        items = _json_items(list(value), level + 1)
-        opening, closing = "[", "]"
-    else:
-        raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    if not items:
-        return opening + closing
-    return opening + inner + ("," + inner).join(items) + "\n" + "  " * level + closing
-
-
-def _json_rows(table: dict) -> str:
-    """The table as the JSON list of row objects, one %-template per row."""
-    cells = [
-        _json_items(col.tolist() if isinstance(col, np.ndarray) else col, 3)
-        for col in _columns(table)
-    ]
-    # the rows list sits at level 1 of the document: row objects at 4
-    # spaces, their keys at 6
-    keys = (_json_str(h).replace("%", "%%") for h in table)
-    template = "    {" + ",".join(f"\n      {k}: %s" for k in keys) + "\n    }"
-    rows = list(map(template.__mod__, zip(*cells)))
-    if not rows:
-        return "[]"
-    return "[\n" + ",\n".join(rows) + "\n  ]"
+        members = [f"{_json_str(k)}: {_json(v, level + 1)}" for k, v in value.items()]
+        return _json_block(members, level, "{}")
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fi":
+        return _json_nested(_json_numbers(value), level)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return _json_block(_json_items(value, level + 1), level)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_json(config: dict, table: dict, audit: dict | None = None) -> str:
-    """JSON document {config, rows[, audit]}, byte for byte as json.dumps(indent=2)."""
-    parts = [f'  "config": {_json(config, 1)}', f'  "rows": {_json_rows(table)}']
+    """JSON document {config, rows[, audit]}, byte for byte as json.dumps(indent=2).
+
+    The document is one join: the rows list interleaves each cell with the
+    piece before it, its key after the separator from the cell or row before.
+    """
+    cells = [_json_items(col, 3) for col in _columns(table)]
+    rows = len(cells[0]) if cells else 0
+    # the rows list sits at level 1 of the document: row objects at 4
+    # spaces, their keys at 6
+    keys = [_json_str(h) + ": " for h in table]
+    width = 2 * len(cells)
+    pieces = [None] * (width * rows)
+    for j, (key, column) in enumerate(zip(keys, cells)):
+        pieces[2 * j::width] = [(",\n      " if j else "\n    },\n    {\n      ") + key] * rows
+        pieces[2 * j + 1::width] = column
+    head = '{\n  "config": ' + _json(config, 1) + ',\n  "rows": '
+    if rows:
+        pieces[0] = head + "[\n    {\n      " + keys[0]
+        pieces.append("\n    }\n  ]")
+    else:
+        pieces.append(head + "[]")
     if audit is not None:
-        parts.append(f'  "audit": {_json(audit, 1)}')
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+        pieces += [',\n  "audit": ', _json(audit, 1)]
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def matrix_json(m: np.ndarray) -> dict:
-    """Complex matrix as parallel nested lists of real and imaginary parts."""
+    """Complex matrix as its real and imaginary parts, 2-D float arrays that
+    write_json lays out as nested lists."""
     a = np.asarray(m, dtype=complex)
-    return {"re": a.real.tolist(), "im": a.imag.tolist()}
+    return {"re": a.real, "im": a.imag}
 
 
 def one_row(row: dict) -> dict:
@@ -206,9 +246,7 @@ def audit_detail(audit: CommutatorAudit) -> dict:
     return {
         "ladder_commutator": matrix_json(audit.ladder_commutator),
         "payoff_commutator": matrix_json(audit.payoff_commutator),
-        "pattern_entry_deviation": {
-            name: dev.tolist() for name, dev in sorted(audit.pattern_entry_deviation.items())
-        },
+        "pattern_entry_deviation": dict(sorted(audit.pattern_entry_deviation.items())),
     }
 
 

@@ -13,6 +13,8 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quantumtoss
 from quantumtoss import cli
@@ -113,6 +115,45 @@ def test_write_json_matches_json_dumps():
     assert write_json({}, empty) == _json_reference({}, empty)
     with pytest.raises(TypeError):
         write_json({"bad": {1, 2}}, empty)
+    # every value repeats, so each spelling is gathered for several entries
+    repeated = np.array(EDGE_FLOATS * 3).reshape(6, 5)
+    matrix = np.array([[1.0 - 2.0j, -0.0 + 1j], [math.nan - 0.0j, 1.0 + 5e-324j]])
+    audit = {
+        "m": repeated,
+        "re": matrix.real,  # a strided view of the complex array
+        "im": matrix.imag,
+        "ints": np.array([[3, -1], [3, 0]]),
+        "empty": np.zeros((2, 0)),
+        "none": np.zeros((0, 3)),
+    }
+    table = {
+        "x": np.array([0.25, -0.0, 0.25, 0.0, math.nan, 0.25, math.inf, -math.inf, 5e-324, 0.0]),
+        "k": np.array([7, 7, -2, 7, 0, 0, 7, 1, 1, 7]),
+        "pattern": [-0.0, 0.0, 0.5] * 3 + [math.nan],
+    }
+    config = {"strided": matrix.real[:, 1], "m": repeated[::2, ::-2]}
+    assert write_json(config, table, audit) == _json_reference(config, table, audit)
+    for name in table:  # one-column tables
+        assert write_json({}, {name: table[name]}) == _json_reference({}, {name: table[name]})
+
+
+_POOL = [0.0, -0.0, 0.5, 1 / 3, -2.5, 5e-324, 1e300, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_write_json_matches_json_dumps_on_repeating_tables(data):
+    rows = data.draw(st.integers(0, 12))
+    pool = st.sampled_from(_POOL)
+    column = st.one_of(
+        st.lists(pool, min_size=rows, max_size=rows).map(np.array),
+        st.lists(st.integers(-3, 3), min_size=rows, max_size=rows).map(np.array),
+        st.lists(st.one_of(pool, st.none(), st.sampled_from(["a", "b,c"])), min_size=rows, max_size=rows),
+    )
+    table = data.draw(st.dictionaries(st.sampled_from(["x", "y", "z", 'q"%s']), column, max_size=3))
+    side = data.draw(st.integers(0, 4))
+    audit = {"m": np.array(data.draw(st.lists(pool, min_size=side * side, max_size=side * side))).reshape(side, side)}
+    assert write_json({"rows": rows}, table, audit) == _json_reference({"rows": rows}, table, audit)
 
 
 def test_write_csv_matches_row_reference():
@@ -207,6 +248,10 @@ def test_operators_json_matches_json_dumps(capsys):
               "kappa1": 0.3, "kappa2": 1.0, "format": "json"}
     payload = {"config": config, "rows": rows, "audit": detail}
     assert out == json.dumps(_plain(payload), indent=2) + "\n"
+    # a larger document, against the layout of its own re-parse
+    code, out, err = run(capsys, "operators", "--rounds", "12", "--mode", "periodic", "--format", "json")
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def _polyline_reference(series, markers):
@@ -1177,6 +1222,12 @@ GOLDEN_OUTPUTS = [
     (("compare", "--n", "17", "--svg"),
      "73729211f752f4cb24ba03b1d2b15c6a54f75bd108630696a98424060f162d19",
      "5b55d8df47478fca20474b95fc7ac81d4c80eee2d3874e41c9353b4d30496354"),
+    # the audit as JSON: its commutator and deviation matrices
+    (("audit", "--rounds", "9", "--mode", "periodic", "--format", "json", "--kappa1", "2",
+      "--kappa2", "0.5"),
+     "5127473f574b5b86085b9a490ff1611ccca53fef995d1d5385c68132f83739f9", None),
+    (("audit", "--rounds", "7", "--format", "json"),
+     "0280828bbc270e2dd90ec5275d5d491c7359661b7ab7ee8eebf38001cb798dae", None),
 ]
 
 
