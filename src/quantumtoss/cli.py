@@ -201,7 +201,7 @@ def _cmd_sweep(args):
 
 def _cmd_variance(args):
     gs = GameSpace(args.rounds, "finite", args.kappa1, args.kappa2)
-    _emit(args, reports.one_row(vars(payoff_variance(gs, args.n, args.player))))
+    _emit(args, reports.one_row(payoff_variance(gs, args.n, args.player)._asdict()))
 
 
 def _cmd_density(args):
@@ -213,7 +213,7 @@ def _cmd_density(args):
 
 
 def _cmd_peaks(args):
-    _emit(args, reports.one_row(vars(density_peaks(args.n))))
+    _emit(args, reports.one_row(density_peaks(args.n)._asdict()))
 
 
 def _cmd_classical(args):
@@ -229,7 +229,7 @@ def _cmd_compare(args):
     xi = uniform_grid(-half, half, 1601)
     _emit(
         args,
-        reports.one_row(vars(rep)),
+        reports.one_row(rep._asdict()),
         series=[
             (f"round {args.n} density", xi, psi(args.n, xi) ** 2),
             (f"classical walk n={args.n}", xi, classical_mixture_density(args.n, xi)),
@@ -248,7 +248,7 @@ def _cmd_corr_eigen(args):
 
 
 def _cmd_diverge(args):
-    _emit(args, reports.one_row(vars(divergence_scan(args.kind, args.cutoffs))))
+    _emit(args, reports.one_row(divergence_scan(args.kind, args.cutoffs)._asdict()))
 
 
 def run_cli(argv) -> int:

@@ -8,9 +8,7 @@ both pay-off expectations to vanish.  Rows are labelled "even" or "odd" in
 finite mode and "mixed" throughout periodic mode.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +34,9 @@ def classify_signs(eigenvalues) -> np.ndarray:
     return signs
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationRow:
+# no ``from __future__ import annotations`` here: reports.spectrum_rows reads
+# the field types of CorrelationRow, which a NamedTuple would keep as ForwardRefs
+class CorrelationRow(NamedTuple):
     """One pre-correlation eigenstate and its pay-off statistics: a ``spectrum`` row."""
 
     index: int
@@ -50,11 +49,10 @@ class CorrelationRow:
     correlation: float
     pearson: float | None
     sign_class: int
-    vector: np.ndarray = field(repr=False)
+    vector: np.ndarray
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     """Eigenvalue-ascending rows for one game space."""
 
     rows: tuple[CorrelationRow, ...]

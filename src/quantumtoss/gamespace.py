@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,14 @@ from .numerics import EIGEN_DIM_MAX, adjoint, as_int, as_real, commutator
 MODES = ("finite", "periodic")
 
 
-@dataclass(frozen=True)
-class GameSpace:
+class _GameSpaceFields(NamedTuple):
+    rounds_max: int
+    mode: str
+    kappa1: float
+    kappa2: float
+
+
+class GameSpace(_GameSpaceFields):
     """Game configuration: maximum round index, boundary mode, pay-off units.
 
     ``rounds_max`` is the largest round index N, so the state space has
@@ -30,28 +36,31 @@ class GameSpace:
     (N + 1)^2 operators.  ``kappa1``/``kappa2`` are the currency-per-round
     scales of the two players: any real number except bool, positive and at
     most the largest double, stored as a float.  Periodic mode needs at least
-    two round states.
+    two round states.  Every construction is checked, ``_replace`` and
+    ``_make`` included.
     """
 
-    rounds_max: int
-    mode: str = "finite"
-    kappa1: float = 1.0
-    kappa2: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        as_int(self.rounds_max, "rounds", 0)
-        if self.dim > EIGEN_DIM_MAX:
+    def __new__(cls, rounds_max, mode="finite", kappa1=1.0, kappa2=1.0):
+        as_int(rounds_max, "rounds", 0)
+        if rounds_max + 1 > EIGEN_DIM_MAX:
             raise InputError(
-                f"rounds {self.rounds_max} gives dimension {self.dim}, "
+                f"rounds {rounds_max} gives dimension {rounds_max + 1}, "
                 f"above the ceiling {EIGEN_DIM_MAX}"
             )
-        if self.mode not in MODES:
-            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "periodic" and self.rounds_max < 1:
+        if mode not in MODES:
+            raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+        if mode == "periodic" and rounds_max < 1:
             raise InputError("periodic mode is degenerate with a single state")
-        for name in ("kappa1", "kappa2"):
-            # stored as a Python float: numpy scalar products would wrap or overflow
-            object.__setattr__(self, name, as_real(getattr(self, name), name, positive=True))
+        # stored as Python floats: numpy scalar products would wrap or overflow
+        kappa1 = as_real(kappa1, "kappa1", positive=True)
+        kappa2 = as_real(kappa2, "kappa2", positive=True)
+        return super().__new__(cls, rounds_max, mode, kappa1, kappa2)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:
@@ -104,8 +113,7 @@ def _payoff(player: int, kappa: float, a_plus: np.ndarray, a_minus: np.ndarray) 
     return -1j * kappa * (a_plus - a_minus) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class OperatorSet:
+class OperatorSet(NamedTuple):
     """All operators of one game space, built consistently from its ladder."""
 
     a_plus: np.ndarray
@@ -172,8 +180,7 @@ def unit_trace_diagonal(gs: GameSpace) -> np.ndarray:
     return diag
 
 
-@dataclass(frozen=True)
-class CommutatorAudit:
+class CommutatorAudit(NamedTuple):
     """Full commutators of one game space plus their pattern deviations.
 
     ``pattern_max_deviation`` maps each candidate closed form of
@@ -243,8 +250,7 @@ def audit_commutators(gs: GameSpace, ops: OperatorSet) -> CommutatorAudit:
     )
 
 
-@dataclass(frozen=True)
-class PayoffVariance:
+class PayoffVariance(NamedTuple):
     """<n| pi_j^2 |n> with its inputs and whether |n> is interior: the ``variance`` row."""
 
     rounds: int

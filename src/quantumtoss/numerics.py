@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,8 +150,7 @@ def norm_inf(m) -> float:
     return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Real eigenvalues (ascending) with orthonormal eigenvector columns.
 
     ``vectors[:, k]`` pairs with ``eigenvalues[k]``.

@@ -4,24 +4,23 @@ Every subcommand's output is a table of equal-length columns, keyed by
 column name in output order: a float64 or int64 numpy array, or a list of
 plain Python values (float/int/bool/str/None or lists of floats).  The keys
 are both the CSV header and the JSON row keys, and each column is named in
-one place: a table of result objects takes its columns from the fields of the
-result class, in field order (``spectrum_rows``, and ``one_row`` of a
-``ComparisonReport``, ``DivergenceReport``, ``PayoffVariance`` or
-``PeakSet``); a table of derived columns is named by its ``*_rows`` builder,
-and a sampled grid by the subcommand that prints it.  CSV writes an array
-column byte for byte as Python's '%.17g' through ``_floattext``, adjacent
-array columns in one batch per chunk, and a list column field by field (a
-column of strings once per distinct value), with '\\n' line endings and
-RFC-4180-style quoting.  JSON keeps native doubles so a re-parse reproduces
-the report exactly, in the layout of ``json.dumps(payload, indent=2)``: each
-distinct number of an array or of a list of floats is spelled once, and the
-document is built in one join.
+one place: a table of result records (named tuples) takes its columns from
+the record's fields, in field order (``spectrum_rows``, and ``one_row`` of
+the ``_asdict()`` of a ``ComparisonReport``, ``DivergenceReport``,
+``PayoffVariance`` or ``PeakSet``); a table of derived columns is named by
+its ``*_rows`` builder, and a sampled grid by the subcommand that prints it.
+CSV writes an array column byte for byte as Python's '%.17g' through
+``_floattext``, adjacent array columns in one batch per chunk, and a list
+column field by field (a column of strings once per distinct value), with
+'\\n' line endings and RFC-4180-style quoting.  JSON keeps native doubles so
+a re-parse reproduces the report exactly, in the layout of
+``json.dumps(payload, indent=2)``: each distinct number of an array or of a
+list of floats is spelled once, and the document is built in one join.  The
+json module loads only with the first JSON string spelled, so a CSV run
+never imports it.
 """
 
 from __future__ import annotations
-
-from dataclasses import fields
-from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -106,6 +105,17 @@ def _json_numbers(a: np.ndarray) -> np.ndarray:
     return spellings[np.searchsorted(distinct, bits)].reshape(a.shape)
 
 
+def _json_strings(texts) -> list[str]:
+    """JSON spelling of each string, ASCII-escaped as json.dumps writes it.
+
+    json loads here, with the first string of a JSON document: a CSV run
+    never imports it.
+    """
+    from json.encoder import encode_basestring_ascii
+
+    return list(map(encode_basestring_ascii, texts))
+
+
 def _json_items(values, level: int) -> list[str]:
     """JSON spelling of each value of a list or 1-D array; numbers and
     strings in one pass, other values one by one at ``level``."""
@@ -119,7 +129,7 @@ def _json_items(values, level: int) -> list[str]:
     if kinds == {int}:
         return list(map(int.__repr__, values))
     if kinds == {str}:
-        return list(map(_json_str, values))
+        return _json_strings(values)
     return [_json(v, level) for v in values]
 
 
@@ -150,9 +160,10 @@ def _json(value, level: int) -> str:
     if isinstance(value, (float, np.floating)):
         return _json_float(float(value))
     if isinstance(value, str):
-        return _json_str(value)
+        return _json_strings([value])[0]
     if isinstance(value, dict):
-        members = [f"{_json_str(k)}: {_json(v, level + 1)}" for k, v in value.items()]
+        members = [f"{k}: {_json(v, level + 1)}"
+                   for k, v in zip(_json_strings(value), value.values())]
         return _json_block(members, level, "{}")
     if isinstance(value, np.ndarray) and value.dtype.kind in "fi":
         return _json_nested(_json_numbers(value), level)
@@ -171,7 +182,7 @@ def write_json(config: dict, table: dict, audit: dict | None = None) -> str:
     rows = len(cells[0]) if cells else 0
     # the rows list sits at level 1 of the document: row objects at 4
     # spaces, their keys at 6
-    keys = [_json_str(h) + ": " for h in table]
+    keys = [h + ": " for h in _json_strings(table)]
     width = 2 * len(cells)
     pieces = [None] * (width * rows)
     for j, (key, column) in enumerate(zip(keys, cells)):
@@ -197,7 +208,7 @@ def matrix_json(m: np.ndarray) -> dict:
 
 
 def one_row(row: dict) -> dict:
-    """The table of a single row, e.g. ``one_row(vars(result))``."""
+    """The table of a single row, e.g. ``one_row(result._asdict())`` of a result record."""
     return {name: [value] for name, value in row.items()}
 
 
@@ -212,7 +223,7 @@ def concat_tables(tables: list[dict]) -> dict:
 
 def operator_rows(ops: OperatorSet) -> dict:
     """Every entry of every matrix, one matrix after another in field order."""
-    mats = {name: np.asarray(m, dtype=complex) for name, m in vars(ops).items()}
+    mats = {name: np.asarray(m, dtype=complex) for name, m in ops._asdict().items()}
     d = ops.number.shape[0]
     index = np.arange(d)
     return {
@@ -258,10 +269,10 @@ def spectrum_rows(report: CorrelationReport, rounds: int | None = None) -> dict:
     """
     rows = report.rows
     table = {} if rounds is None else {"rounds": np.full(len(rows), rounds)}
-    for f in fields(CorrelationRow):
-        if f.name != "vector":
-            values = [getattr(r, f.name) for r in rows]
-            table[f.name] = np.array(values) if f.type in ("float", "int") else values
+    for name, kind in CorrelationRow.__annotations__.items():
+        if name != "vector":
+            values = [getattr(r, name) for r in rows]
+            table[name] = np.array(values) if kind in (float, int) else values
     return table
 
 

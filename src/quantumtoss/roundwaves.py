@@ -14,7 +14,7 @@ continuous correlation eigenfunctions under both operator orderings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +104,7 @@ def hermite_zeros(n: int) -> np.ndarray:
     return _folded_spectrum(build_operators(GameSpace(n - 1)).pi1)
 
 
-@dataclass(frozen=True)
-class PeakSet:
+class PeakSet(NamedTuple):
     """Locations of the n + 1 density maxima of round n."""
 
     n: int
@@ -160,8 +159,7 @@ def classical_mixture_density(n: int, grid) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Quantum round density against the classical walk after n rounds: the ``compare`` row."""
 
     n: int
@@ -236,8 +234,7 @@ def correlation_eigenfunction(lam: float, ordering: str, grid) -> np.ndarray:
     return np.exp(s * np.log(x.astype(complex)))
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Cut-off scan of a non-normalizable state's norm integral: the ``diverge`` row."""
 
     kind: str

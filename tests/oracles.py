@@ -6,10 +6,12 @@ inverse iteration for eigenvectors; it shares no code with the package's
 Householder-QL solver.  Intended for dimension <= 4 with (at most doubly)
 degenerate spectra.  ``sturm_count`` counts the eigenvalues below a point
 of a zero-diagonal symmetric tridiagonal matrix exactly, in rational
-arithmetic, at any dimension.  ``dense_dekker_commutator`` is the
-full-width Dekker row loop that the package's row-sparse commutator must
-match byte for byte, and ``correlation_value`` the one-state form of the
-spectrum's correlation column.  ``csv_reference`` and
+arithmetic, at any dimension, and ``jacobi_eigenvector_moduli`` gives the
+eigenvector moduli of the finite parity blocks from their orthogonal
+polynomials.  ``dense_dekker_commutator`` is the full-width Dekker row
+loop that the package's row-sparse commutator must match byte for byte,
+and ``correlation_value`` the one-state form of the spectrum's
+correlation column.  ``csv_reference`` and
 ``polyline_reference`` are the row-by-row writers that the package's
 column-at-a-time CSV and SVG text must match byte for byte.  ``hermite``,
 ``schrodinger_residual``, ``eigenfunction_residual`` and
@@ -227,6 +229,30 @@ def sturm_count(squared_couplings, x):
         else:
             pivot = -x - b2 / pivot
     return count + (pivot is None or pivot < 0)
+
+
+def jacobi_eigenvector_moduli(a, size, x):
+    """Moduli of the unit eigenvector of J(a) at each eigenvalue in ``x``, one column each.
+
+    J(a) is the size x size Jacobi matrix of the Meixner-Pollaczek
+    polynomials P_k^(a)(x; pi/2): zero diagonal and couplings b_k =
+    sqrt((k+1)(k+2a))/2.  At an eigenvalue x its eigenvector is (p_0(x), ...,
+    p_{size-1}(x)) up to scale, with p_0 = 1 and the three-term recurrence
+    b_k p_{k+1} = x p_k - b_{k-1} p_{k-1}; no eigensolver is involved.  At
+    size 256 and the largest |x| an entry reaches 3e166, whose square
+    overflows the norm, so a column is scaled back to 1 whenever an entry
+    passes 1e100.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    k = np.arange(size - 1)
+    b = np.sqrt((k + 1) * (k + 2 * a)) / 2
+    p = np.zeros((size, x.size))
+    p[0] = 1.0
+    for j in range(size - 1):
+        p[j + 1] = (x * p[j] - (b[j - 1] * p[j - 1] if j else 0.0)) / b[j]
+        big = np.abs(p[j + 1]) > 1e100
+        p[: j + 2, big] /= np.abs(p[j + 1, big])
+    return np.abs(p) / np.linalg.norm(p, axis=0)
 
 
 def hermite(n: int, xi):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,7 +11,12 @@ from quantumtoss.errors import ConvergenceError, InputError
 from quantumtoss.gamespace import GameSpace, build_operators
 from quantumtoss.numerics import hermitian_eigen
 
-from oracles import correlation_value, sign_classification, sturm_count
+from oracles import (
+    correlation_value,
+    jacobi_eigenvector_moduli,
+    sign_classification,
+    sturm_count,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 PEARSON_DIM3 = 2.0 * math.sqrt(2.0) / 3.0
@@ -212,7 +216,7 @@ def test_spectrum_unnormalized_eigenvector_is_a_convergence_error(monkeypatch):
 
     def stretched(m):
         dec = hermitian_eigen(m)
-        return dataclasses.replace(dec, vectors=dec.vectors * (1 + 1e-9))
+        return dec._replace(vectors=dec.vectors * (1 + 1e-9))
 
     monkeypatch.setattr(corr_mod, "hermitian_eigen", stretched)
     with pytest.raises(ConvergenceError, match="not normalized"):
@@ -377,3 +381,19 @@ def test_finite_spectrum_sits_at_its_exact_sturm_counts(rounds):
         for k, value in enumerate(lam):
             assert sturm_count(squared, Fraction(value) - delta) <= k
             assert sturm_count(squared, Fraction(value) + delta) >= k + 1
+
+
+@pytest.mark.parametrize("rounds", [7, 31, 120, 255, 511])
+def test_finite_eigenvector_moduli_match_their_orthogonal_polynomials(rounds):
+    # after the diagonal phase the finite even block of PC(kappa = 1) is
+    # 2 J(1/4) and the odd block 2 J(3/4), so the moduli of each eigenvector
+    # are those of (p_k(lambda/2)) from the recurrence, to 1e-12 absolute
+    # (read: 3.1e-14 at N = 255, 6.4e-14 at N = 511)
+    report = correlation_spectrum(GameSpace(rounds))
+    for parity, start, a in (("even", 0, 0.25), ("odd", 1, 0.75)):
+        rows = [row for row in report.rows if row.parity == parity]
+        assert len(rows) == len(range(start, rounds + 1, 2))
+        expected = jacobi_eigenvector_moduli(a, len(rows), [row.eigenvalue / 2 for row in rows])
+        vectors = np.array([row.vector for row in rows]).T
+        assert np.max(np.abs(np.abs(vectors[start::2]) - expected)) <= 1e-12
+        assert not np.any(vectors[1 - start::2])

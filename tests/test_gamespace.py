@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,17 @@ def test_gamespace_validation():
     for kappa in (np.float32(2.0), np.int64(3)):
         gs = GameSpace(2, kappa1=kappa, kappa2=kappa)
         assert gs.kappa1 == gs.kappa2 == kappa and type(gs.kappa1) is float
+
+
+@pytest.mark.parametrize("kappa", [3, np.float32(2.5), Fraction(7, 4)])
+def test_gamespace_stores_kappa_as_python_float(kappa):
+    gs = GameSpace(2, kappa1=kappa, kappa2=kappa)
+    assert gs.kappa1 == gs.kappa2 == float(kappa)
+    assert type(gs.kappa1) is float and type(gs.kappa2) is float
+    # _replace builds through the same checks
+    assert type(gs._replace(kappa2=kappa).kappa2) is float
+    with pytest.raises(InputError, match="kappa1 must be a positive finite number"):
+        gs._replace(kappa1=0)
 
 
 def test_ladder_finite_entries():

@@ -20,8 +20,18 @@ import quantumtoss
 from quantumtoss import cli
 from quantumtoss.cli import run_cli
 from quantumtoss.errors import InputError
-from quantumtoss.gamespace import GameSpace
-from quantumtoss.reports import format_field, write_csv, write_json
+from quantumtoss.correlation import correlation_spectrum
+from quantumtoss.gamespace import GameSpace, audit_commutators, build_operators, payoff_variance
+from quantumtoss.numerics import hermitian_eigen
+from quantumtoss.reports import (
+    concat_tables,
+    format_field,
+    one_row,
+    spectrum_rows,
+    write_csv,
+    write_json,
+)
+from quantumtoss.roundwaves import compare_quantum_classical, density_peaks, divergence_scan
 from quantumtoss.svgplot import MarkerGroup, Series, render_svg
 
 from oracles import csv_reference
@@ -532,6 +542,50 @@ def test_json_row_keys_equal_csv_header(capsys, argv):
     assert rows and all(list(row) == header for row in rows)
 
 
+def test_records_refuse_attribute_assignment():
+    gs = GameSpace(3)
+    ops = build_operators(gs)
+    report = correlation_spectrum(gs)
+    records = [
+        gs, ops, audit_commutators(gs, ops), payoff_variance(gs, 1, 1), hermitian_eigen(ops.pi1),
+        report, report.rows[0], density_peaks(2), compare_quantum_classical(2),
+        divergence_scan("weyl", (0.1, 0.03, 0.01, 0.003)),
+        Series("s", np.zeros(2), np.ones(2)), MarkerGroup("m", (0.0,)),
+    ]
+    assert len({type(record) for record in records}) == 12
+    for record in records:
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+
+@pytest.mark.parametrize("argv, result", [
+    (("variance", "--rounds", "5", "--n", "3", "--player", "2"),
+     lambda: payoff_variance(GameSpace(5), 3, 2)),
+    (("peaks", "--n", "2"), lambda: density_peaks(2)),
+    (("compare", "--n", "2"), lambda: compare_quantum_classical(2)),
+    (("diverge", "--kind", "plane", "--cutoffs", "2,4,8,16"),
+     lambda: divergence_scan("plane", (2.0, 4.0, 8.0, 16.0))),
+])
+def test_one_row_keys_are_the_csv_header(capsys, argv, result):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    header, _ = parse_csv(out)
+    assert list(one_row(result()._asdict())) == header
+
+
+def test_spectrum_rows_makes_arrays_of_the_numeric_fields():
+    # read from CorrelationRow's field types; a list column would write the
+    # same bytes, only field by field
+    kinds = {"rounds": "i", "index": "i", "eigenvalue": "f", "parity": "list", "exp_pi1": "f",
+             "exp_pi2": "f", "sigma1": "f", "sigma2": "f", "correlation": "f", "pearson": "list",
+             "sign_class": "i"}
+    tables = [spectrum_rows(correlation_spectrum(GameSpace(n)), rounds=n) for n in (1, 4)]
+    for table in (*tables, concat_tables(tables)):
+        assert {name: col.dtype.kind if isinstance(col, np.ndarray) else "list"
+                for name, col in table.items()} == kinds
+
+
 CSV_ONLY = {
     "variance": ("--rounds", "3", "--n", "1", "--player", "1"),
     "density": ("--n", "1"),
@@ -953,20 +1007,60 @@ def test_full_stdout_is_an_io_error(unbuffered):
     assert proc.stderr.decode().startswith("quantumtoss: error: [Errno 28]"), proc.stderr
 
 
+def imported_modules(*args):
+    """Names of the modules a fresh ``python -X importtime *args`` imports."""
+    src = os.path.dirname(os.path.dirname(quantumtoss.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120, check=True,
+    )
+    # each "import time:" line ends with "| <module name>"
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()}
+
+
 @pytest.mark.parametrize("argv, svg", [
     (("spectrum", "--rounds", "3"), False),
     (("density", "--n", "1", "--samples", "3", "--svg", os.devnull), True),
 ])
 def test_entry_loads_svgplot_only_under_svg(argv, svg):
-    src = os.path.dirname(os.path.dirname(quantumtoss.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "quantumtoss", *argv],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120, check=True,
-    )
-    # each "import time:" line ends with "| <module name>"
-    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()}
+    names = imported_modules("-m", "quantumtoss", *argv)
     assert "quantumtoss.cli" in names
     assert ("quantumtoss.svgplot" in names) == svg
+
+
+@pytest.fixture(scope="module")
+def startup_modules():
+    """What the interpreter imports before any quantumtoss code runs."""
+    return imported_modules("-c", "pass")
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (("spectrum", "--rounds", "3"), set()),
+    (("peaks", "--n", "2"), set()),
+    (("density", "--n", "1", "--samples", "3"), set()),
+    (("operators", "--rounds", "2"), set()),
+    (("spectrum", "--rounds", "3", "--format", "json"), {"json"}),
+    (("compare", "--n", "2", "--svg", os.devnull), set()),
+])
+def test_entry_loads_json_only_for_json_output(startup_modules, argv, loads):
+    # records are named tuples, JSON strings are spelled by json only in a
+    # JSON document, and SVG text is escaped without html
+    names = imported_modules("-m", "quantumtoss", *argv) - startup_modules
+    assert "quantumtoss.cli" in names
+    assert names & {"dataclasses", "json", "html"} == loads - startup_modules
+
+
+def test_package_modules_import_no_dataclasses(startup_modules):
+    # __import__, since -X importtime does not report importlib.import_module
+    code = (
+        "import os, quantumtoss\n"
+        "for name in os.listdir(quantumtoss.__path__[0]):\n"
+        "    if name.endswith('.py') and name != '__init__.py':\n"
+        "        __import__('quantumtoss.' + name[:-3])\n"
+    )
+    names = imported_modules("-c", code) - startup_modules
+    assert {"quantumtoss.cli", "quantumtoss.svgplot", "quantumtoss.__main__"} <= names
+    assert "dataclasses" not in names
 
 
 def fresh_process(*args, threads=None):
