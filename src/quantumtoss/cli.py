@@ -151,9 +151,9 @@ def _emit(args, table, audit=None, series=(), markers=()):
     order.
     """
     if getattr(args, "svg", None) is not None:
-        from .svgplot import MarkerGroup, Series, render_svg
+        from .svgplot import render_svg
 
-        _write(args.svg, render_svg([Series(*s) for s in series], [MarkerGroup(*m) for m in markers]))
+        _write(args.svg, render_svg(series, markers))
     if getattr(args, "format", "csv") == "json":
         config = {k: v for k, v in vars(args).items() if k not in ("out", "run")}
         text = reports.write_json(config, table, audit)
@@ -171,18 +171,16 @@ def _cmd_operators(args):
     audit_obj = None
     if args.format == "json":  # the CSV holds the operators alone
         audit = audit_commutators(gs, ops)
-        metrics = reports.audit_rows(audit)
-        audit_obj = {
-            "metrics": dict(zip(metrics["metric"], metrics["value"])),
-            **reports.audit_detail(audit),
-        }
+        audit_obj = {"metrics": reports.audit_metrics(audit), **reports.audit_detail(audit)}
     _emit(args, reports.operator_rows(ops), audit=audit_obj)
 
 
 def _cmd_audit(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
     audit = audit_commutators(gs, build_operators(gs))
-    _emit(args, reports.audit_rows(audit), audit=reports.audit_detail(audit))
+    metrics = reports.audit_metrics(audit)
+    _emit(args, {"metric": list(metrics), "value": list(metrics.values())},
+          audit=reports.audit_detail(audit))
 
 
 def _cmd_spectrum(args):
@@ -235,8 +233,8 @@ def _cmd_compare(args):
             (f"classical walk n={args.n}", xi, classical_mixture_density(args.n, xi)),
         ],
         markers=[
-            ("quantum peaks", tuple(float(x) for x in rep.quantum_peaks)),
-            ("classical centers", tuple(float(x) for x in rep.classical_centers)),
+            ("quantum peaks", rep.quantum_peaks),
+            ("classical centers", rep.classical_centers),
         ],
     )
 

@@ -8,16 +8,18 @@ one place: a table of result records (named tuples) takes its columns from
 the record's fields, in field order (``spectrum_rows``, and ``one_row`` of
 the ``_asdict()`` of a ``ComparisonReport``, ``DivergenceReport``,
 ``PayoffVariance`` or ``PeakSet``); a table of derived columns is named by
-its ``*_rows`` builder, and a sampled grid by the subcommand that prints it.
+its ``*_rows`` builder, and a sampled grid or the audit's metric/value
+table by the subcommand that prints it.
 CSV writes an array column byte for byte as Python's '%.17g' through
 ``_floattext``, adjacent array columns in one batch per chunk, and a list
 column field by field (a column of strings once per distinct value), with
 '\\n' line endings and RFC-4180-style quoting.  JSON keeps native doubles so
 a re-parse reproduces the report exactly, in the layout of
-``json.dumps(payload, indent=2)``: each distinct number of an array or of a
-list of floats is spelled once, and the document is built in one join.  The
-json module loads only with the first JSON string spelled, so a CSV run
-never imports it.
+``json.dumps(payload, indent=2)``: each distinct number of an array column
+and each distinct string of a column of strings is spelled once, other
+values one by one, and the document is built in one join.  The json module
+loads only with the first JSON string spelled, so a CSV run never imports
+it.
 """
 
 from __future__ import annotations
@@ -117,19 +119,14 @@ def _json_strings(texts) -> list[str]:
 
 
 def _json_items(values, level: int) -> list[str]:
-    """JSON spelling of each value of a list or 1-D array; numbers and
-    strings in one pass, other values one by one at ``level``."""
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind in "fi":
-            return _json_numbers(values).tolist()
-        values = values.tolist()
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return _json_numbers(np.array(values)).tolist()
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {str}:
-        return _json_strings(values)
+    """JSON spelling of each value of a list or 1-D array: a float or int
+    array through _json_numbers, a list of strings once per distinct string,
+    other values one by one at ``level``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fi":
+        return _json_numbers(values).tolist()
+    if set(map(type, values)) == {str}:
+        distinct = list(set(values))
+        return list(map(dict(zip(distinct, _json_strings(distinct))).__getitem__, values))
     return [_json(v, level) for v in values]
 
 
@@ -203,8 +200,7 @@ def write_json(config: dict, table: dict, audit: dict | None = None) -> str:
 def matrix_json(m: np.ndarray) -> dict:
     """Complex matrix as its real and imaginary parts, 2-D float arrays that
     write_json lays out as nested lists."""
-    a = np.asarray(m, dtype=complex)
-    return {"re": a.real, "im": a.imag}
+    return {"re": m.real, "im": m.imag}
 
 
 def one_row(row: dict) -> dict:
@@ -223,7 +219,7 @@ def concat_tables(tables: list[dict]) -> dict:
 
 def operator_rows(ops: OperatorSet) -> dict:
     """Every entry of every matrix, one matrix after another in field order."""
-    mats = {name: np.asarray(m, dtype=complex) for name, m in ops._asdict().items()}
+    mats = ops._asdict()
     d = ops.number.shape[0]
     index = np.arange(d)
     return {
@@ -235,22 +231,18 @@ def operator_rows(ops: OperatorSet) -> dict:
     }
 
 
-def audit_rows(audit: CommutatorAudit) -> dict:
-    metrics = {
+def audit_metrics(audit: CommutatorAudit) -> dict:
+    """The audit's scalar results, metric name -> value, in output order."""
+    return {
         "ladder_trace_re": float(audit.ladder_trace.real),
         "ladder_trace_im": float(audit.ladder_trace.imag),
+        **{f"ladder_pattern_{name}_max_deviation": audit.pattern_max_deviation[name]
+           for name in sorted(audit.pattern_max_deviation)},
+        "payoff_interior_max_deviation": audit.interior_max_deviation,
+        "payoff_sign": audit.payoff_sign,
+        "zero_sector_re": float(audit.zero_sector_value.real),
+        "zero_sector_im": float(audit.zero_sector_value.imag),
     }
-    for name in sorted(audit.pattern_max_deviation):
-        metrics[f"ladder_pattern_{name}_max_deviation"] = audit.pattern_max_deviation[name]
-    metrics.update(
-        {
-            "payoff_interior_max_deviation": audit.interior_max_deviation,
-            "payoff_sign": audit.payoff_sign,
-            "zero_sector_re": float(audit.zero_sector_value.real),
-            "zero_sector_im": float(audit.zero_sector_value.imag),
-        }
-    )
-    return {"metric": list(metrics), "value": list(metrics.values())}
 
 
 def audit_detail(audit: CommutatorAudit) -> dict:
@@ -277,9 +269,8 @@ def spectrum_rows(report: CorrelationReport, rounds: int | None = None) -> dict:
 
 
 def correigen_rows(xi: np.ndarray, values: np.ndarray) -> dict:
-    values = np.asarray(values, dtype=complex)
     return {
-        "xi": np.asarray(xi, dtype=float),
+        "xi": xi,
         "re": values.real,
         "im": values.imag,
         # np.abs on complex differs from Python's abs in the last bit on many

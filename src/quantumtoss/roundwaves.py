@@ -82,7 +82,11 @@ def uniform_grid(xi_min: float, xi_max: float, samples: int) -> np.ndarray:
     # a range whose width overflows would fill the grid with inf and nan
     if not math.isfinite(xi_max - xi_min) or xi_min >= xi_max:
         raise InputError(f"invalid range [{xi_min}, {xi_max}]")
-    return np.linspace(xi_min, xi_max, samples)
+    # near +-DBL_MAX, linspace's last product (samples - 1) * step can round
+    # past the largest double before it puts xi_max in that entry; the grid
+    # it returns is finite and ascending, so the overflow is not a fault
+    with np.errstate(over="ignore"):
+        return np.linspace(xi_min, xi_max, samples)
 
 
 def _folded_spectrum(m) -> np.ndarray:

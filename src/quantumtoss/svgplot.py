@@ -2,14 +2,15 @@
 
 The output is a pure function of the input series: fixed palette, fixed
 float formatting, no timestamps — identical input gives identical bytes.
-The axes are labelled "xi" and "density".  Series and marker names are
-XML-escaped (``&``, ``<``, ``>``), so any name gives a well-formed document.
+A series is a plain ``(name, x, y)`` tuple and a marker group a
+``(name, xs)`` tuple, as the command line builds them.  The axes are
+labelled "xi" and "density".  Series and marker names are XML-escaped
+(``&``, ``<``, ``>``), so any name gives a well-formed document.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,19 +27,6 @@ MARGIN_BOTTOM = 56
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MIDDLE = ' text-anchor="middle"'
 _DASH = ' stroke-dasharray="5,4"'
-
-
-class Series(NamedTuple):
-    name: str
-    x: np.ndarray
-    y: np.ndarray
-
-
-class MarkerGroup(NamedTuple):
-    """Labelled vertical reference lines sharing one color and legend entry."""
-
-    name: str
-    xs: tuple[float, ...]
 
 
 def _fmt(value: float) -> str:
@@ -101,27 +89,28 @@ def _text(x, y, body, attrs="") -> str:
 def render_svg(series, markers=()) -> str:
     """Standalone SVG 1.1 document: one polyline per series plus a legend.
 
-    ``series`` is a sequence of Series (each at least 2 finite points);
-    ``markers`` is a sequence of MarkerGroup rendered as dashed vertical
-    lines.  Polyline points are written a whole series at a time, each
-    coordinate byte for byte as '%.3f'.  Raises InputError on an empty
-    series set.
+    ``series`` is a sequence of ``(name, x, y)`` tuples, x and y arrays of
+    at least 2 matching finite points; ``markers`` is a sequence of
+    ``(name, xs)`` tuples, each a group of x positions rendered as dashed
+    vertical lines that share one color and legend entry.  Polyline points
+    are written a whole series at a time, each coordinate byte for byte as
+    '%.3f'.  Raises InputError on an empty series set.
     """
     series = list(series)
     markers = list(markers)
     if not series:
         raise InputError("need at least one series")
-    for s in series:
-        if len(s.x) < 2 or len(s.x) != len(s.y):
-            raise InputError(f"series {s.name!r} needs at least 2 matching points")
-        if not (np.all(np.isfinite(s.x)) and np.all(np.isfinite(s.y))):
-            raise InputError(f"series {s.name!r} has non-finite values")
+    for name, x, y in series:
+        if len(x) < 2 or len(x) != len(y):
+            raise InputError(f"series {name!r} needs at least 2 matching points")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise InputError(f"series {name!r} has non-finite values")
 
-    marks = [float(x) for m in markers for x in m.xs]
-    x_lo, x_hi = _axis(min([float(np.min(s.x)) for s in series] + marks),
-                       max([float(np.max(s.x)) for s in series] + marks), 0.0)
-    y_lo, y_hi = _axis(min(float(np.min(s.y)) for s in series),
-                       max(float(np.max(s.y)) for s in series), 0.05)
+    marks = [float(x) for _, xs in markers for x in xs]
+    x_lo, x_hi = _axis(min([float(np.min(x)) for _, x, _ in series] + marks),
+                       max([float(np.max(x)) for _, x, _ in series] + marks), 0.0)
+    y_lo, y_hi = _axis(min(float(np.min(y)) for _, _, y in series),
+                       max(float(np.max(y)) for _, _, y in series), 0.05)
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -159,16 +148,16 @@ def render_svg(series, markers=()) -> str:
     parts.append(_text(cx, cy, "density", _MIDDLE + rotate))
 
     # one legend entry and one palette color per series, then per marker group
-    legend = [(s.name, "") for s in series] + [(m.name, _DASH) for m in markers]
+    legend = [(name, "") for name, _, _ in series] + [(name, _DASH) for name, _ in markers]
     colors = [PALETTE[k % len(PALETTE)] for k in range(len(legend))]
-    for s, color in zip(series, colors):
-        xy = [("%.3f", px(np.asarray(s.x))), ("%.3f", py(np.asarray(s.y)))]
+    for (_, x, y), color in zip(series, colors):
+        xy = [("%.3f", px(np.asarray(x))), ("%.3f", py(np.asarray(y)))]
         points = rows_text(xy, " ")[:-1]
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-    for m, color in zip(markers, colors[len(series):]):
-        for x in map(px, map(float, m.xs)):
+    for (_, xs), color in zip(markers, colors[len(series):]):
+        for x in map(px, map(float, xs)):
             parts.append(_line(x, MARGIN_TOP, x, bottom, color, 1, _DASH))
 
     lx = MARGIN_LEFT + plot_w - 180

@@ -14,7 +14,7 @@ import quantumtoss
 from quantumtoss import svgplot
 from quantumtoss._floattext import _CHUNK, _F_MAX, _G_MAX, _G_MIN, _eight, _g17, rows_text
 from quantumtoss.reports import write_csv
-from quantumtoss.svgplot import Series, render_svg
+from quantumtoss.svgplot import render_svg
 
 from oracles import csv_reference, polyline_reference
 
@@ -160,7 +160,7 @@ def test_mixed_tables_as_python_writes_them_row_by_row(templates, seed, chunks, 
 def test_render_svg_polyline_bytes_match_the_pair_join():
     xs = np.linspace(-7.3, 9.1, 4001)
     ys = np.exp(-xs * xs) * np.cos(5.0 * xs)
-    doc = render_svg([Series("w", xs, ys)])
+    doc = render_svg([("w", xs, ys)])
     line = next(line for line in doc.splitlines() if line.startswith("<polyline"))
     points = line.split('"')[1]
     plot_w = svgplot.WIDTH - svgplot.MARGIN_LEFT - svgplot.MARGIN_RIGHT

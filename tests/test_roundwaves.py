@@ -122,6 +122,18 @@ def test_density_grid_validation():
         uniform_grid(-1e308, 1.7e308, 5)
 
 
+@pytest.mark.parametrize("xi_min, xi_max", [
+    (-sys.float_info.max, 3.0), (0.0, sys.float_info.max), (1.0, sys.float_info.max),
+])
+def test_uniform_grid_reaching_dbl_max_is_finite_and_ascending(xi_min, xi_max):
+    # at some sample counts the last product (samples - 1) * step rounds past
+    # DBL_MAX inside linspace, which then puts xi_max in that entry
+    for samples in range(2, 401):
+        xi = uniform_grid(xi_min, xi_max, samples)
+        assert (xi.size, xi[0], xi[-1]) == (samples, xi_min, xi_max)
+        assert np.all(np.isfinite(xi)) and np.all(xi[1:] > xi[:-1])
+
+
 def test_densities_vanish_without_warning_on_huge_grids():
     # where xi * xi overflows, the Gaussian factor is an exact 0
     xs = np.array([-1e300, 0.0, 1e300])

@@ -32,7 +32,7 @@ from quantumtoss.reports import (
     write_json,
 )
 from quantumtoss.roundwaves import compare_quantum_classical, density_peaks, divergence_scan
-from quantumtoss.svgplot import MarkerGroup, Series, render_svg
+from quantumtoss.svgplot import render_svg
 
 from oracles import csv_reference
 
@@ -112,7 +112,17 @@ def _json_reference(config, table, audit=None):
 def test_write_json_matches_json_dumps():
     n = len(EDGE_PLAIN)
     floats = np.array((EDGE_FLOATS * 2)[:n])
-    table = {"x": floats, "mixed": EDGE_PLAIN, "tab\t%s": list(range(n)), "s": ["a\"b"] * n}
+    table = {
+        "x": floats, "mixed": EDGE_PLAIN, "tab\t%s": list(range(n)), "s": ["a\"b"] * n,
+        # columns of one kind each: floats, ints and bools, then strings that
+        # are all distinct, repeated, or non-ASCII with quotes and control characters
+        "float_list": (EDGE_FLOATS * 2)[:n],
+        "int_list": [-7, 2**53 + 1, -(2**63)] + list(range(n - 3)),
+        "flags": np.arange(n) % 3 == 0,
+        "distinct": [f"row {i}" for i in range(n)],
+        "quoted": (["caf\u00e9 \"q\"\x01\n", "\u2603\\\t", "\x7f\u00e9"] * n)[:n],
+        "unique_quoted": [f"\u2603{i}\"\x1f" for i in range(n)],
+    }
     config = {
         "subcommand": "edge", "empty_list": [], "empty_dict": {}, "none": None,
         "nested": {"deep": [[1.0, -math.inf], [], [{"k": np.int64(2)}]], "b": np.bool_(False)},
@@ -268,12 +278,12 @@ def _polyline_reference(series, markers):
     """Each polyline's points, mapped and formatted one point at a time."""
     from quantumtoss import svgplot
 
-    x_lo = min(min(float(x) for x in s.x) for s in series)
-    x_hi = max(max(float(x) for x in s.x) for s in series)
-    y_lo = min(min(float(y) for y in s.y) for s in series)
-    y_hi = max(max(float(y) for y in s.y) for s in series)
-    for m in markers:
-        x_lo, x_hi = min([x_lo, *m.xs]), max([x_hi, *m.xs])
+    x_lo = min(min(float(x) for x in xs) for _, xs, _ in series)
+    x_hi = max(max(float(x) for x in xs) for _, xs, _ in series)
+    y_lo = min(min(float(y) for y in ys) for _, _, ys in series)
+    y_hi = max(max(float(y) for y in ys) for _, _, ys in series)
+    for _, marks in markers:
+        x_lo, x_hi = min([x_lo, *marks]), max([x_hi, *marks])
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_hi == y_lo:
@@ -283,9 +293,9 @@ def _polyline_reference(series, markers):
     plot_w = svgplot.WIDTH - svgplot.MARGIN_LEFT - svgplot.MARGIN_RIGHT
     plot_h = svgplot.HEIGHT - svgplot.MARGIN_TOP - svgplot.MARGIN_BOTTOM
     out = []
-    for s in series:
+    for _, xs, ys in series:
         points = []
-        for x, y in zip(s.x, s.y):
+        for x, y in zip(xs, ys):
             px = svgplot.MARGIN_LEFT + (float(x) - x_lo) / (x_hi - x_lo) * plot_w
             py = svgplot.MARGIN_TOP + (y_hi - float(y)) / (y_hi - y_lo) * plot_h
             points.append(f"{format(px, '.3f')},{format(py, '.3f')}")
@@ -295,9 +305,9 @@ def _polyline_reference(series, markers):
 
 def test_render_svg_polyline_matches_scalar_reference():
     xs = np.linspace(-7.3, 9.1, 2001)
-    wave = Series("wave", xs, np.sin(3.0 * xs) * np.exp(-0.1 * xs * xs))
-    flat = Series("flat", xs, np.full(xs.size, 0.125))
-    markers = [MarkerGroup("refs", (-9.5, 0.0, 2.25))]
+    wave = ("wave", xs, np.sin(3.0 * xs) * np.exp(-0.1 * xs * xs))
+    flat = ("flat", xs, np.full(xs.size, 0.125))
+    markers = [("refs", (-9.5, 0.0, 2.25))]
     for series, marks in (([wave, flat], markers), ([flat], []), ([wave], markers)):
         doc = render_svg(series, marks)
         polylines = [line.split('"')[1] for line in doc.splitlines()
@@ -550,9 +560,8 @@ def test_records_refuse_attribute_assignment():
         gs, ops, audit_commutators(gs, ops), payoff_variance(gs, 1, 1), hermitian_eigen(ops.pi1),
         report, report.rows[0], density_peaks(2), compare_quantum_classical(2),
         divergence_scan("weyl", (0.1, 0.03, 0.01, 0.003)),
-        Series("s", np.zeros(2), np.ones(2)), MarkerGroup("m", (0.0,)),
     ]
-    assert len({type(record) for record in records}) == 12
+    assert len({type(record) for record in records}) == 10
     for record in records:
         for name in (*record._fields, "extra"):
             with pytest.raises(AttributeError):
@@ -736,6 +745,26 @@ def test_psi_past_dbl_max_over_sqrt2_is_zero_without_warnings(capsys, n):
     assert out.splitlines()[-1] == "1.7976931348623157e+308,0,0"
 
 
+@pytest.mark.parametrize("argv", [
+    ("density", "--n", "4", "--xi-min", "-1.7976931348623157e308", "--xi-max", "3",
+     "--samples", "227"),
+    ("classical", "--n", "3", "--xi-min", "0", "--xi-max", "1.7976931348623157e308",
+     "--samples", "128"),
+    ("corr-eigen", "--lambda", "0", "--ordering", "weyl", "--xi-min", "1",
+     "--xi-max", "1.7976931348623157e308", "--samples", "4"),
+])
+def test_grid_reaching_dbl_max_exits_without_warnings(capsys, argv):
+    # linspace's last product (samples - 1) * step rounded past DBL_MAX and
+    # warned, though the grid it returned was valid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    xi = [float(row[0]) for row in rows]
+    assert all(map(math.isfinite, xi)) and all(a < b for a, b in zip(xi, xi[1:]))
+
+
 @pytest.mark.parametrize(
     "argv",
     [("density", "--n", "3"), ("classical", "--n", "3"), ("corr-eigen", "--lambda", "1")],
@@ -875,13 +904,13 @@ def test_render_svg_rejects_bad_series():
     with pytest.raises(InputError):
         render_svg([])
     with pytest.raises(InputError):
-        render_svg([Series("short", np.array([0.0]), np.array([1.0]))])
+        render_svg([("short", np.array([0.0]), np.array([1.0]))])
 
 
 def test_render_svg_deterministic_and_standalone():
     xs = np.linspace(0, 1, 20)
-    series = [Series("a", xs, np.sin(xs)), Series("b", xs, np.cos(xs))]
-    markers = [MarkerGroup("refs", (0.25, 0.75))]
+    series = [("a", xs, np.sin(xs)), ("b", xs, np.cos(xs))]
+    markers = [("refs", (0.25, 0.75))]
     first = render_svg(series, markers)
     second = render_svg(series, markers)
     assert first == second
@@ -1170,10 +1199,10 @@ GOLDEN_SVG = """\
 def test_render_svg_golden_figure():
     xs = np.array([0.0, 5.0, 10.0])
     series = [
-        Series("round 1 density", xs, np.array([0.0, 1.0, 0.5])),
-        Series("classical walk n=1", xs, np.array([1.0, 0.25, 0.0])),
+        ("round 1 density", xs, np.array([0.0, 1.0, 0.5])),
+        ("classical walk n=1", xs, np.array([1.0, 0.25, 0.0])),
     ]
-    markers = [MarkerGroup("quantum peaks", (2.5, 7.5))]
+    markers = [("quantum peaks", (2.5, 7.5))]
     assert render_svg(series, markers) == GOLDEN_SVG
 
 
@@ -1181,8 +1210,8 @@ def test_render_svg_escapes_names_and_labels():
     xs = np.linspace(0.0, 1.0, 5)
     names = ["P & Q", "<a> b", "x > y && z"]
     doc = render_svg(
-        [Series(names[0], xs, xs), Series(names[1], xs, 1.0 - xs)],
-        [MarkerGroup(names[2], (0.5,))],
+        [(names[0], xs, xs), (names[1], xs, 1.0 - xs)],
+        [(names[2], (0.5,))],
     )
     svg = "{http://www.w3.org/2000/svg}"
     texts = [t.text for t in ElementTree.fromstring(doc.encode()).iter(f"{svg}text")]
@@ -1237,7 +1266,7 @@ def test_tick_labels_of_a_narrow_axis_far_from_zero_are_distinct(capsys, tmp_pat
 def test_render_svg_rejects_non_finite_series():
     xs = np.linspace(0.0, 1.0, 4)
     with pytest.raises(InputError, match="non-finite"):
-        render_svg([Series("bad", xs, np.array([0.0, np.nan, 1.0, 2.0]))])
+        render_svg([("bad", xs, np.array([0.0, np.nan, 1.0, 2.0]))])
 
 
 @pytest.mark.parametrize("cutoffs", ["-2,4,8,16", "-1e-3,+2,inf,8"])
