@@ -15,6 +15,11 @@ file is closed by then.  The explicit flush also makes a failed final
 write the documented I/O error (exit 1 with an error line) rather than an
 "Exception ignored" message and exit 120.  Only this entry ends early;
 ``run_cli`` and the library return as before.
+
+stdout is written through a buffered stream even when PYTHONUNBUFFERED or
+``-u`` is set: unbuffered, ``sys.stdout`` writes straight to the raw file
+and drops what a short write left over, so a reader that closes the pipe
+early would see exit 0 with no error line.
 """
 
 import os
@@ -25,6 +30,10 @@ def main() -> None:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     from .cli import PROG, run_cli  # numpy loads here, after the pin
 
+    out = sys.stdout
+    if out is not None:  # None when the descriptor is closed
+        sys.stdout = open(out.fileno(), "w", encoding=out.encoding, errors=out.errors,
+                          closefd=False)
     code = run_cli(sys.argv[1:])
     try:
         sys.stdout.flush()

@@ -24,6 +24,8 @@ import argparse
 import re
 import sys
 
+import numpy as np
+
 from . import reports
 from .correlation import correlation_spectrum
 from .errors import ConvergenceError, InputError
@@ -185,16 +187,15 @@ def _cmd_audit(args):
 
 def _cmd_spectrum(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
-    _emit(args, reports.spectrum_rows(correlation_spectrum(gs)))
+    _emit(args, reports.spectrum_rows(correlation_spectrum(gs).rows))
 
 
 def _cmd_sweep(args):
     as_int(args.rounds_max, "--rounds-max", 1, SWEEP_ROUNDS_MAX)
-    tables = []
-    for rounds in range(1, args.rounds_max + 1):
-        gs = GameSpace(rounds, args.mode, args.kappa1, args.kappa2)
-        tables.append(reports.spectrum_rows(correlation_spectrum(gs), rounds=rounds))
-    _emit(args, reports.concat_tables(tables))
+    blocks = [correlation_spectrum(GameSpace(n, args.mode, args.kappa1, args.kappa2)).rows
+              for n in range(1, args.rounds_max + 1)]
+    rounds = np.repeat(np.arange(1, args.rounds_max + 1), [len(rows) for rows in blocks])
+    _emit(args, {"rounds": rounds, **reports.spectrum_rows([r for rows in blocks for r in rows])})
 
 
 def _cmd_variance(args):

@@ -52,7 +52,7 @@ class GameSpace(_GameSpaceFields):
         if mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {mode!r}")
         if mode == "periodic" and rounds_max < 1:
-            raise InputError("periodic mode is degenerate with a single state")
+            raise InputError(f"periodic mode is degenerate with a single state: rounds {rounds_max}")
         # stored as Python floats: numpy scalar products would wrap or overflow
         kappa1 = as_real(kappa1, "kappa1", positive=True)
         kappa2 = as_real(kappa2, "kappa2", positive=True)

@@ -203,41 +203,23 @@ def _householder_tridiagonal(a: np.ndarray):
     return np.diag(a).real.copy(), np.abs(sub), q * phase
 
 
-def _chase_factor(c: list[float], s: list[float]) -> np.ndarray:
-    """The product of one QL chase's plane rotations, as one matrix.
-
-    Rotation t (t = 0 .. k-1) takes columns (t, t+1) to (c_t z_t - s_t
-    z_{t+1}, s_t z_t + c_t z_{t+1}); they are applied from t = k-1 down to
-    0.  Their product P is lower Hessenberg,
-    P[a, b] = c_{b-1} c_a prod_{t=b}^{a-1} (-s_t) for a >= b (with
-    c_{-1} = c_k = 1) and P[b-1, b] = s_{b-1}, so z <- z P updates the
-    eigenvector block in one matrix product.
-    """
-    k = len(c)
-    idx = np.arange(k + 1)
-    below = idx[:, None] > idx[None, :]
-    factors = np.where(below, -np.array([1.0, *s])[:, None], 1.0)  # row a holds -s_{a-1}
-    chain = np.tril(np.cumprod(factors, axis=0))
-    cosines = np.array([1.0, *c, 1.0])
-    p = chain * cosines[1:, None] * cosines[None, :-1]
-    p[idx[:-1], idx[1:]] = s
-    return p
-
-
 def _implicit_ql(d: list[float], e: list[float]):
     """Eigenvalues and real eigenvectors of a symmetric tridiagonal matrix.
 
     Implicit QL with Wilkinson shifts (tql2, Bowdler, Martin, Reinsch &
     Wilkinson 1968) on the diagonal d and the couplings e (e[i] joins i and
     i + 1), both Python floats, changed in place.  A coupling at most 2^-52
-    of the largest |d_i| + |e_i| counts as zero.  Returns (d, Z) with the
-    eigenvalues unsorted and Z's columns their eigenvectors; raises
-    ConvergenceError with the coupling left if an eigenvalue takes more
-    than _MAX_QL_ITERATIONS chases.
+    of the largest |d_i| + |e_i| counts as zero.  Each plane rotation, as
+    soon as it is computed, updates the two eigenvector rows it mixes of the
+    transposed Z, as one 2x2 product.  Returns (d, Z) with the eigenvalues
+    unsorted and Z's columns their eigenvectors; raises ConvergenceError
+    with the coupling left if an eigenvalue takes more than
+    _MAX_QL_ITERATIONS chases.
     """
     n = len(d)
     e = [*e, 0.0]
-    z = np.eye(n)
+    zt = np.eye(n)  # Z transposed: row i is component i of every eigenvector
+    rot = np.empty((2, 2))
     tol = 2.0**-52 * max(abs(x) + abs(y) for x, y in zip(d, e))
     for l in range(n):
         for iteration in range(_MAX_QL_ITERATIONS + 1):
@@ -257,7 +239,6 @@ def _implicit_ql(d: list[float], e: list[float]):
             g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))  # Wilkinson shift
             s = c = 1.0
             p = 0.0
-            cs, ss = [], []
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
@@ -274,16 +255,17 @@ def _implicit_ql(d: list[float], e: list[float]):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                cs.append(c)
-                ss.append(s)
+                # rows (i, i+1) <- (c z_i - s z_{i+1}, s z_i + c z_{i+1})
+                rot[0, 0] = rot[1, 1] = c
+                rot[0, 1] = -s
+                rot[1, 0] = s
+                rows = zt[i : i + 2]
+                rows[...] = np.dot(rot, rows)
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-            if cs:
-                lo = m - len(cs)
-                z[:, lo : m + 1] = z[:, lo : m + 1] @ _chase_factor(cs[::-1], ss[::-1])
-    return np.array(d), z
+    return np.array(d), zt.T
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:

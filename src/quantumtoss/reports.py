@@ -24,10 +24,12 @@ it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ._floattext import rows_text
-from .correlation import CorrelationReport, CorrelationRow
+from .correlation import CorrelationRow
 from .gamespace import CommutatorAudit, OperatorSet
 
 
@@ -208,15 +210,6 @@ def one_row(row: dict) -> dict:
     return {name: [value] for name, value in row.items()}
 
 
-def concat_tables(tables: list[dict]) -> dict:
-    """One table holding the rows of ``tables`` (same columns) in order."""
-    return {
-        h: np.concatenate([t[h] for t in tables]) if isinstance(col, np.ndarray)
-        else [v for t in tables for v in t[h]]
-        for h, col in tables[0].items()
-    }
-
-
 def operator_rows(ops: OperatorSet) -> dict:
     """Every entry of every matrix, one matrix after another in field order."""
     mats = ops._asdict()
@@ -253,14 +246,12 @@ def audit_detail(audit: CommutatorAudit) -> dict:
     }
 
 
-def spectrum_rows(report: CorrelationReport, rounds: int | None = None) -> dict:
+def spectrum_rows(rows: Sequence[CorrelationRow]) -> dict:
     """A row per eigenstate, a column per CorrelationRow field but ``vector``.
 
-    Each field declared ``float`` or ``int`` is a float64 or int64 array, in
-    every block of a sweep alike, as is the ``rounds`` column of a sweep.
+    Each field declared ``float`` or ``int`` is a float64 or int64 array.
     """
-    rows = report.rows
-    table = {} if rounds is None else {"rounds": np.full(len(rows), rounds)}
+    table = {}
     for name, kind in CorrelationRow.__annotations__.items():
         if name != "vector":
             values = [getattr(r, name) for r in rows]

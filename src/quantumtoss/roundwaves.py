@@ -216,17 +216,21 @@ def correlation_eigenfunction(lam: float, ordering: str, grid) -> np.ndarray:
     ``lam`` is the eigenvalue in units of kappa1*kappa2.  The exponent is
     s = -1 - i lam ("printed" ordering) or s = -1/2 - i lam ("weyl",
     symmetrized); the imaginary part is a pure phase, so |psi| follows only
-    the ordering.  The grid must be strictly positive and ascending, and
-    start where |psi| = xi^Re(s) is a finite double.
+    the ordering.  The grid must be strictly positive and ascending (a point
+    may repeat, as where a log-spaced grid rounds), and start where
+    |psi| = xi^Re(s) is a finite double.
     """
     if ordering not in tuple(ORDERINGS):  # a tuple also answers `in` for an unhashable value
         raise InputError(f"ordering must be one of {tuple(ORDERINGS)}, got {ordering!r}")
     lam = as_real(lam, "lambda")
     x = np.atleast_1d(_as_grid(grid))
-    if x.size == 0 or np.any(x <= 0.0):
-        raise InputError("grid must be strictly positive")
-    if np.any(np.diff(x) <= 0.0):
-        raise InputError("grid must be strictly ascending")
+    if x.size == 0:
+        raise InputError("grid must be strictly positive, got an empty grid")
+    if np.any(x <= 0.0):
+        raise InputError(f"grid must be strictly positive, got xi = {float(x[x <= 0.0][0])!r}")
+    if np.any(np.diff(x) < 0.0):
+        i = int(np.argmax(np.diff(x) < 0.0))
+        raise InputError(f"grid must be ascending, got xi = {float(x[i + 1])!r} after {float(x[i])!r}")
     end = max(float(x[0]), float(x[-1]), key=lambda v: abs(math.log(v)))
     if not math.isfinite(lam * math.log(end)):
         raise InputError(f"lambda * ln(xi) overflows at the grid end xi = {end!r}: lambda = {lam!r}")
@@ -275,10 +279,11 @@ def divergence_scan(kind: str, cutoffs) -> DivergenceReport:
     if kind not in DIVERGENCE_KINDS:
         raise InputError(f"kind must be one of {DIVERGENCE_KINDS}, got {kind!r}")
     cuts = np.asarray(cutoffs, dtype=float)
+    listed = ",".join(format(c, "g") for c in cuts.ravel())
     if cuts.ndim != 1 or cuts.size < 4:
-        raise InputError("need at least 4 cutoffs")
+        raise InputError(f"need at least 4 cutoffs, got {cuts.size}: {listed}")
     if not np.all(np.isfinite(cuts)):
-        raise InputError("cutoffs must be finite")
+        raise InputError(f"cutoffs must be finite, got {listed}")
 
     # a cutoff far enough out overflows the quadrature or the fit; numpy's
     # floating-point errors are raised and reported as a bad cutoff list
@@ -286,7 +291,7 @@ def divergence_scan(kind: str, cutoffs) -> DivergenceReport:
         with np.errstate(over="raise", invalid="raise"):
             if kind == "plane":
                 if np.any(cuts <= 1.0) or np.any(np.diff(cuts) <= 0.0):
-                    raise InputError("plane-wave cutoffs must be increasing and > 1")
+                    raise InputError(f"plane-wave cutoffs must be increasing and > 1, got {listed}")
                 integrals = []
                 for big_l in cuts:
                     xi = np.linspace(-big_l, big_l, 4097)
@@ -297,7 +302,7 @@ def divergence_scan(kind: str, cutoffs) -> DivergenceReport:
                 x_log = np.log(cuts)
             else:
                 if np.any(cuts <= 0.0) or np.any(cuts >= 1.0) or np.any(np.diff(cuts) >= 0.0):
-                    raise InputError("cutoffs must be a decreasing sequence in (0, 1)")
+                    raise InputError(f"cutoffs must be a decreasing sequence in (0, 1), got {listed}")
                 integrals = []
                 for eps in cuts:
                     u = np.linspace(math.log(eps), 0.0, 8193)
@@ -311,7 +316,6 @@ def divergence_scan(kind: str, cutoffs) -> DivergenceReport:
             linear_residual = _fit_relative_residual(x_lin, integrals)
             log_residual = _fit_relative_residual(x_log, integrals)
     except FloatingPointError:
-        listed = ",".join(format(c, "g") for c in cuts)
         raise InputError(f"cutoffs {listed} overflow the norm integrals or their fit") from None
     classification = "linear" if linear_residual <= log_residual else "logarithmic"
     return DivergenceReport(

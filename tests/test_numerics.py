@@ -403,18 +403,6 @@ def test_householder_reduces_a_full_matrix_to_its_tridiagonal_form():
     np.testing.assert_allclose(q.conj().T @ q, np.eye(8), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("k", [1, 2, 7])
-def test_chase_factor_is_the_product_of_its_rotations(k):
-    theta = np.random.default_rng(k).uniform(0.0, 2.0 * np.pi, k)
-    c, s = np.cos(theta), np.sin(theta)
-    product = np.eye(k + 1)
-    for t in range(k - 1, -1, -1):  # rotation k-1 is applied first
-        rotation = np.eye(k + 1)
-        rotation[t : t + 2, t : t + 2] = [[c[t], s[t]], [-s[t], c[t]]]
-        product = product @ rotation
-    np.testing.assert_allclose(nx._chase_factor(list(c), list(s)), product, rtol=0, atol=1e-15)
-
-
 def test_ql_iteration_cap_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(nx, "_MAX_QL_ITERATIONS", 0)
     with pytest.raises(ConvergenceError, match="QL iteration did not converge") as info:

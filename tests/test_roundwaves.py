@@ -416,6 +416,16 @@ def test_divergence_weyl_is_logarithmic():
     np.testing.assert_allclose(rep.integrals, np.log(1.0 / EPSILONS), rtol=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["printed", "weyl"])
+def test_divergence_takes_a_cutoff_next_to_1(kind):
+    # exp of the log-spaced quadrature grid rounds to repeated points there,
+    # which the eigenfunction rejected as a grid that is not ascending
+    eps = np.array([1.0 - 2.0**-53, 0.75, 0.5, 0.25])
+    rep = divergence_scan(kind, eps)
+    exact = 1.0 / eps - 1.0 if kind == "printed" else np.log(1.0 / eps)
+    np.testing.assert_allclose(rep.integrals, exact, rtol=1e-6, atol=1e-15)
+
+
 def test_divergence_plane_wave_is_linear():
     lengths = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
     rep = divergence_scan("plane", lengths)

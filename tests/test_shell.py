@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quantumtoss
@@ -23,14 +24,7 @@ from quantumtoss.errors import InputError
 from quantumtoss.correlation import correlation_spectrum
 from quantumtoss.gamespace import GameSpace, audit_commutators, build_operators, payoff_variance
 from quantumtoss.numerics import hermitian_eigen
-from quantumtoss.reports import (
-    concat_tables,
-    format_field,
-    one_row,
-    spectrum_rows,
-    write_csv,
-    write_json,
-)
+from quantumtoss.reports import format_field, one_row, write_csv, write_json
 from quantumtoss.roundwaves import compare_quantum_classical, density_peaks, divergence_scan
 from quantumtoss.svgplot import render_svg
 
@@ -533,6 +527,26 @@ def test_diverge_overflowing_cutoffs_exit_2(capsys):
         assert f"cutoffs {cutoffs} overflow" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("diverge", "--kind", "weyl", "--cutoffs", "0.5,0.1,0.01"),
+     "need at least 4 cutoffs, got 3: 0.5,0.1,0.01"),
+    (("diverge", "--kind", "plane", "--cutoffs", "2,4,inf,8"),
+     "cutoffs must be finite, got 2,4,inf,8"),
+    (("diverge", "--kind", "plane", "--cutoffs", "2,4,3,8"),
+     "plane-wave cutoffs must be increasing and > 1, got 2,4,3,8"),
+    (("diverge", "--kind", "printed", "--cutoffs", "0.5,2,0.1,0.01"),
+     "cutoffs must be a decreasing sequence in (0, 1), got 0.5,2,0.1,0.01"),
+    (("corr-eigen", "--lambda", "1", "--xi-min", "-1", "--xi-max", "2"),
+     "grid must be strictly positive, got xi = -1.0"),
+    (("spectrum", "--rounds", "0", "--mode", "periodic"),
+     "periodic mode is degenerate with a single state: rounds 0"),
+])
+def test_rejected_input_is_named_in_the_error(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"quantumtoss: error: {named}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -583,16 +597,21 @@ def test_one_row_keys_are_the_csv_header(capsys, argv, result):
     assert list(one_row(result()._asdict())) == header
 
 
-def test_spectrum_rows_makes_arrays_of_the_numeric_fields():
+def test_spectrum_rows_makes_arrays_of_the_numeric_fields(monkeypatch):
     # read from CorrelationRow's field types; a list column would write the
     # same bytes, only field by field
-    kinds = {"rounds": "i", "index": "i", "eigenvalue": "f", "parity": "list", "exp_pi1": "f",
-             "exp_pi2": "f", "sigma1": "f", "sigma2": "f", "correlation": "f", "pearson": "list",
+    kinds = {"index": "i", "eigenvalue": "f", "parity": "list", "exp_pi1": "f", "exp_pi2": "f",
+             "sigma1": "f", "sigma2": "f", "correlation": "f", "pearson": "list",
              "sign_class": "i"}
-    tables = [spectrum_rows(correlation_spectrum(GameSpace(n)), rounds=n) for n in (1, 4)]
-    for table in (*tables, concat_tables(tables)):
+    tables = []
+    monkeypatch.setattr(cli, "_emit", lambda args, table, **kw: tables.append(table))
+    for argv in (["spectrum", "--rounds", "4"], ["sweep", "--rounds-max", "4"]):
+        assert run_cli(argv) == 0
+    assert [list(t) for t in tables] == [list(kinds), ["rounds", *kinds]]
+    for table, expected in zip(tables, (kinds, {"rounds": "i", **kinds})):
         assert {name: col.dtype.kind if isinstance(col, np.ndarray) else "list"
-                for name, col in table.items()} == kinds
+                for name, col in table.items()} == expected
+    assert tables[1]["rounds"].tolist() == [n for n in range(1, 5) for _ in range(n + 1)]
 
 
 CSV_ONLY = {
@@ -1036,6 +1055,22 @@ def test_full_stdout_is_an_io_error(unbuffered):
     assert proc.stderr.decode().startswith("quantumtoss: error: [Errno 28]"), proc.stderr
 
 
+def test_stdout_closed_early_is_an_io_error_when_unbuffered():
+    # unbuffered, sys.stdout ignores the short write of a closed pipe: the
+    # entry writes through a buffered stream whatever PYTHONUNBUFFERED says
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(quantumtoss.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quantumtoss", "operators", "--rounds", "60"],  # 395 kB
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err.splitlines() == ["quantumtoss: error: [Errno 32] Broken pipe"], err
+
+
 def imported_modules(*args):
     """Names of the modules a fresh ``python -X importtime *args`` imports."""
     src = os.path.dirname(os.path.dirname(quantumtoss.__file__))
@@ -1308,17 +1343,17 @@ GOLDEN_OUTPUTS = [
     (("variance", "--rounds", "6", "--n", "6", "--player", "2", "--kappa1", "3"),
      "78c3c3181bf3f7d39c7d25370c146801d7ec7a4602931072b7f75e66846aeddc", None),
     (("spectrum", "--rounds", "7"),
-     "2be8e9d603206b0a9a46880bffcba619cf8304ecdca02ecf7344735bb795e496", None),
+     "ff47acdd5a02d5698d2122689294b1f65aa43f771b16a5d7f6c929770fbe32ea", None),
     (("spectrum", "--rounds", "6", "--format", "json", "--kappa1", "2", "--kappa2", "0.5"),
-     "c851d43fb0eccc3e9931bb562a06dd4285146717b252e1a858cf9992c67782fd", None),
+     "17c46cac3b90c26ea50e7d98e81cccacb5347db6979ce9d51f92bf70a821549c", None),
     (("spectrum", "--rounds", "7", "--mode", "periodic"),
-     "cf777f3b961d32983ec8dcdc54f9266eee4ed051f98d053c9b52cf10a5a2bc3c", None),
+     "862c3cc609b441f33cb7afb1e0eb9413d797de85de808156c44105af23505f36", None),
     (("spectrum", "--rounds", "8", "--mode", "periodic", "--format", "json"),
-     "b3d90774514f6accd7605e6869dce6da5e8d0593ef94d1a030e5ca025a87c72e", None),
+     "11f305f94fc2a8c4ef9398a7bd8730ffa1bfd10b8f51896257d174d7464f5115", None),
     (("sweep", "--rounds-max", "5"),
-     "de7f48166f5c6aea53590bbdaa805053f0cf46c23edc3a3c8675bcfbb3f11b9d", None),
+     "9724126aeb5e8107c3e53fb976a0d88d94d7c1efeff092fe76a7c0eeeb5b6024", None),
     (("sweep", "--rounds-max", "6", "--mode", "periodic", "--format", "json"),
-     "8d744d0aff6c20f9e8bd25c66173b624da69106cb073fc0a3c0b4804fcc3dd6c", None),
+     "5428cd8b30ce2b7500a3066d87ea9dfb00dab040957b7034c6afcc306742feaa", None),
     (("operators", "--rounds", "4"),
      "ff72d9749f378755361abc2ab793b2ab60ec342849efc772760adb42b0c3d5a3", None),
     (("operators", "--rounds", "4", "--format", "json"),
@@ -1334,7 +1369,7 @@ GOLDEN_OUTPUTS = [
     (("operators", "--rounds", "40", "--mode", "periodic"),
      "4bdb6e05091f2597141bf4dfea82eb5101a52c1860365d509066d2ce6a935ef8", None),
     (("sweep", "--rounds-max", "20", "--mode", "periodic"),
-     "a0d7cd4d2e89b964c10f6133d329d71f5a038b74ed15b07d6982bfd01e4f3477", None),
+     "ad1407bbbd67265eea22a2078e84a61bf57932259c9d6bb394b14081032eab4e", None),
     # figures whose axes start off a tick, reach far past zero, or carry many markers
     (("classical", "--n", "5", "--samples", "801", "--svg"),
      "c4d5ce750742d7eb518526536c93efa786554547c0a9e6b83e92c3d046fb8a0c",
@@ -1362,3 +1397,106 @@ def test_output_bytes_are_pinned(tmp_path, capsys, argv, stdout_sha, svg_sha):
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
     if svg_sha:
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
+
+
+# the float edges of the input domain: signed zeros, the smallest subnormal,
+# the smallest normal, magnitudes whose squares or products overflow, the
+# largest double, and the non-finite values
+INPUT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+               -1e-300, 1e154, sys.float_info.max, -sys.float_info.max, math.inf, -math.inf,
+               math.nan]
+FLOATS = st.one_of(st.sampled_from(INPUT_EDGES), st.floats(), st.floats(-20.0, 20.0))
+SIZES = st.integers(-1, 12)
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of any subcommand: small sizes, edge floats, optional flags drawn or left out."""
+    def value(strategy):
+        drawn = draw(strategy)
+        return drawn if isinstance(drawn, str) else repr(drawn)
+
+    def optional(*flags):
+        return [token for flag, strategy in flags if draw(st.booleans())
+                for token in (flag, value(strategy))]
+
+    out, svg = ("--out", st.just("out.txt")), ("--svg", st.just("fig.svg"))
+    kappas = ("--kappa1", FLOATS), ("--kappa2", FLOATS)
+    grid = ("--xi-min", FLOATS), ("--xi-max", FLOATS), ("--samples", st.integers(0, 200))
+    command = draw(st.sampled_from(["audit", "classical", "compare", "corr-eigen", "density",
+                                    "diverge", "operators", "peaks", "spectrum", "sweep",
+                                    "variance"]))
+    if command in ("operators", "audit", "spectrum", "sweep"):
+        rounds = "--rounds-max" if command == "sweep" else "--rounds"
+        return [command, rounds, value(SIZES), *optional(
+            ("--mode", st.sampled_from(["finite", "periodic"])), *kappas,
+            ("--format", st.sampled_from(["csv", "json"])), out)]
+    if command == "variance":
+        return [command, "--rounds", value(SIZES), "--n", value(SIZES),
+                "--player", value(st.integers(0, 3)), *optional(*kappas)]
+    if command in ("density", "classical"):
+        return [command, "--n", value(SIZES), *optional(*grid, svg)]
+    if command == "peaks":
+        return [command, "--n", value(SIZES)]
+    if command == "compare":
+        return [command, "--n", value(SIZES), *optional(svg)]
+    if command == "corr-eigen":
+        return [command, "--lambda", value(FLOATS),
+                *optional(("--ordering", st.sampled_from(["printed", "weyl"])), *grid)]
+    # whole lists in the weyl/printed and in the plane range, too
+    element = draw(st.sampled_from([FLOATS, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                    st.floats(1.0, 1e6, exclude_min=True)]))
+    cutoffs = draw(st.lists(element, min_size=3, max_size=7, unique=True))
+    kind = draw(st.sampled_from(["plane", "printed", "weyl"]))
+    if draw(st.booleans()):  # in the order the kind asks for
+        cutoffs.sort(reverse=kind != "plane")
+    return [command, "--kind", kind, "--cutoffs", ",".join(map(repr, cutoffs))]
+
+
+def spellings(token):
+    """The ways an error message may spell an argv value."""
+    found = {token}
+    for part in token.split(","):
+        try:
+            x = float(part)
+        except ValueError:  # a choice or a file name
+            continue
+        # x + 0.0: a grid from -0.0 starts at 0.0
+        found |= {part, repr(x), repr(x + 0.0), format(x, "g"), format(x, ".3e")}
+    return found
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_every_subcommand_exits_0_with_finite_output_or_2_naming_the_value(
+        tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv)
+    written = {name: (tmp_path / name).read_text() for name in ("out.txt", "fig.svg")
+               if (tmp_path / name).exists()}
+    for path in tmp_path.iterdir():
+        path.unlink()
+    assert code in (0, 2), err
+    if code == 0:
+        assert err == ""
+        for text in (out, *written.values()):
+            assert not re.search(r"(?i)\b(nan|inf|infinity)\b", text), text[:500]
+        if "fig.svg" in written:
+            texts = list(ElementTree.fromstring(written["fig.svg"]).iter(
+                "{http://www.w3.org/2000/svg}text"))
+            for row in ([t.text for t in texts if t.get("y") == "462.000"],  # x ticks
+                        [t.text for t in texts if t.get("text-anchor") == "end"]):  # y ticks
+                assert len(set(row)) == len(row) >= 2, row
+    else:
+        assert out == "" and not written
+        lines = err.splitlines()
+        message = lines[-1]
+        if lines[0].startswith("usage: "):
+            assert re.match(rf"quantumtoss {argv[0]}: error: ", message), err
+        else:
+            assert len(lines) == 1 and message.startswith("quantumtoss: error: "), err
+        values = [token for token in argv[1:] if not token.startswith("--")]
+        assert any(s in message for token in values for s in spellings(token)), err
