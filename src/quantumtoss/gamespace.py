@@ -228,12 +228,9 @@ def audit_commutators(gs: GameSpace, ops: OperatorSet) -> CommutatorAudit:
     # the |0> sector commutes
     lo = 0 if gs.mode == "finite" else 1
     hi = max(gs.rounds_max - 1, lo)
-    if hi > lo:
-        block = payoff_comm[lo:hi, lo:hi]
-        target = -1j * gs.kappa1 * gs.kappa2 * np.eye(hi - lo)
-        interior_dev = float(np.max(np.abs(block - target)))
-    else:
-        interior_dev = 0.0
+    block = payoff_comm[lo:hi, lo:hi]  # empty at N <= 1 (finite) and N <= 2 (periodic)
+    target = -1j * gs.kappa1 * gs.kappa2 * np.eye(hi - lo)
+    interior_dev = float(np.max(np.abs(block - target), initial=0.0))
 
     probe = payoff_comm[lo, lo].imag if lo < gs.rounds_max else 0.0  # first interior state
     payoff_sign = int(np.sign(probe))

@@ -268,12 +268,12 @@ def _implicit_ql(d: list[float], e: list[float]):
     return np.array(d), zt.T
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    # first component clearly above noise sets the phase to 0
-    peak = float(np.max(np.abs(vec)))
-    idx = int(np.argmax(np.abs(vec) > 1e-8 * peak))
-    ref = vec[idx]
-    return vec * (ref.conjugate() / abs(ref))
+def _fix_phase(vecs: np.ndarray) -> np.ndarray:
+    # in each column, the first component clearly above noise gets phase 0;
+    # each factor is a scalar division, which rounds unlike the array form
+    mag = np.abs(vecs)
+    ref = vecs[np.argmax(mag > 1e-8 * np.max(mag, axis=0), axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.array([r.conjugate() / abs(r) for r in ref])
 
 
 def hermitian_eigen(m) -> SpectralDecomposition:
@@ -312,9 +312,7 @@ def hermitian_eigen(m) -> SpectralDecomposition:
     lam, z = _implicit_ql(diagonal.tolist(), couplings.tolist())
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
-    vecs = q @ z[:, order]
-    for k in range(n):
-        vecs[:, k] = _fix_phase(vecs[:, k])
+    vecs = _fix_phase(q @ z[:, order])
 
     _check_decomposition(unit, lam, vecs, e)
     return SpectralDecomposition(np.ldexp(lam, e), vecs)

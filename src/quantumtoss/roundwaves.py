@@ -55,14 +55,15 @@ def psi(n: int, xi):
     x = _as_grid(xi)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    with np.errstate(over="ignore"):  # beyond |xi| ~ 1e154 the Gaussian is exactly 0
-        psi_prev = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    if n == 0:
-        return float(psi_prev[0]) if scalar else psi_prev
-    # past |xi| = DBL_MAX/sqrt(2) the factor sqrt(2)*xi overflows, and inf * 0
-    # would be nan; where psi_prev is 0 the product is 0 with the sign of xi
+    # beyond |xi| ~ 1e154 the Gaussian is exactly 0.  Past |xi| = DBL_MAX/sqrt(2)
+    # the factor sqrt(2)*xi of psi_1 overflows, and inf * 0 would be nan; where
+    # psi_0 is 0, psi_1 is 0 with the sign of xi
     with np.errstate(over="ignore", invalid="ignore"):
-        psi_cur = np.where(psi_prev == 0.0, 0.0 * x, math.sqrt(2.0) * x * psi_prev)
+        psi_cur = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
+        if n > 0:
+            psi_prev = psi_cur
+            psi_cur = np.where(psi_prev == 0.0, 0.0 * x, math.sqrt(2.0) * x * psi_prev)
+    # psi_2 .. psi_n, each from the two orders before it; none at n <= 1
     for k in range(1, n):
         psi_cur, psi_prev = (
             math.sqrt(2.0 / (k + 1)) * x * psi_cur - math.sqrt(k / (k + 1.0)) * psi_prev,
@@ -292,29 +293,24 @@ def divergence_scan(kind: str, cutoffs) -> DivergenceReport:
             if kind == "plane":
                 if np.any(cuts <= 1.0) or np.any(np.diff(cuts) <= 0.0):
                     raise InputError(f"plane-wave cutoffs must be increasing and > 1, got {listed}")
-                integrals = []
-                for big_l in cuts:
-                    xi = np.linspace(-big_l, big_l, 4097)
-                    wave = np.exp(1j * xi)
-                    integrals.append(_trapezoid(np.abs(wave) ** 2, xi[1] - xi[0]))
-                integrals = np.array(integrals)
-                x_lin = cuts
-                x_log = np.log(cuts)
-            else:
-                if np.any(cuts <= 0.0) or np.any(cuts >= 1.0) or np.any(np.diff(cuts) >= 0.0):
-                    raise InputError(f"cutoffs must be a decreasing sequence in (0, 1), got {listed}")
-                integrals = []
-                for eps in cuts:
-                    u = np.linspace(math.log(eps), 0.0, 8193)
-                    xi = np.exp(u)
-                    wave = correlation_eigenfunction(0.0, kind, xi)
-                    integrals.append(_trapezoid(np.abs(wave) ** 2 * xi, u[1] - u[0]))
-                integrals = np.array(integrals)
-                x_lin = 1.0 / cuts
-                x_log = np.log(1.0 / cuts)
-
+            elif np.any(cuts <= 0.0) or np.any(cuts >= 1.0) or np.any(np.diff(cuts) >= 0.0):
+                raise InputError(f"cutoffs must be a decreasing sequence in (0, 1), got {listed}")
+            # each norm integrand on its quadrature variable t: plane |e^(i xi)|^2
+            # with t = xi, printed/weyl |xi^s|^2 xi with t = log xi
+            integrals = []
+            for cut in cuts:
+                if kind == "plane":
+                    t = xi = np.linspace(-cut, cut, 4097)
+                    density = np.abs(np.exp(1j * xi)) ** 2
+                else:
+                    t = np.linspace(math.log(cut), 0.0, 8193)
+                    xi = np.exp(t)
+                    density = np.abs(correlation_eigenfunction(0.0, kind, xi)) ** 2 * xi
+                integrals.append(_trapezoid(density, t[1] - t[0]))
+            integrals = np.array(integrals)
+            x_lin = cuts if kind == "plane" else 1.0 / cuts
             linear_residual = _fit_relative_residual(x_lin, integrals)
-            log_residual = _fit_relative_residual(x_log, integrals)
+            log_residual = _fit_relative_residual(np.log(x_lin), integrals)
     except FloatingPointError:
         raise InputError(f"cutoffs {listed} overflow the norm integrals or their fit") from None
     classification = "linear" if linear_residual <= log_residual else "logarithmic"

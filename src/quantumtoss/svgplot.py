@@ -60,7 +60,9 @@ def _axis(lo: float, hi: float, pad: float) -> tuple[float, float]:
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     step = _tick_step(hi - lo)
-    return [k * step for k in range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)]
+    ks = range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)
+    # on an axis a few doubles wide, neighbouring multiples round to one double
+    return list(dict.fromkeys(k * step for k in ks))
 
 
 def _tick_labels(ticks: list[float]) -> list[str]:

@@ -8,7 +8,10 @@ degenerate spectra.  ``sturm_count`` counts the eigenvalues below a point
 of a zero-diagonal symmetric tridiagonal matrix exactly, in rational
 arithmetic, at any dimension, and ``jacobi_eigenvector_moduli`` gives the
 eigenvector moduli of the finite parity blocks from their orthogonal
-polynomials.  ``dense_dekker_commutator`` is the full-width Dekker row
+polynomials; ``zero_eigenvalue_count`` is the exact kernel dimension of
+the pre-correlation matrix from the lengths of its chains and rings, and
+``fix_phase_by_column`` the eigenvector phase convention column by column.
+``dense_dekker_commutator`` is the full-width Dekker row
 loop that the package's row-sparse commutator must match byte for byte,
 and ``correlation_value`` the one-state form of the spectrum's
 correlation column.  ``csv_reference`` and
@@ -208,6 +211,22 @@ def correlation_value(state, pi1, pi2, pc):
     return float(mean(pc) - mean(pi1) * mean(pi2))
 
 
+def fix_phase_by_column(vecs):
+    """The eigenvector phase convention, one column at a time.
+
+    In each column the first component above 1e-8 of the column's largest
+    modulus is rotated to phase 0, by the factor conj(r) / |r| of that
+    component r; the package's ``numerics._fix_phase`` must match it bit
+    for bit on the whole matrix at once.
+    """
+    out = np.array(vecs, dtype=complex)
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        ref = col[int(np.argmax(np.abs(col) > 1e-8 * float(np.max(np.abs(col)))))]
+        out[:, k] = col * (ref.conjugate() / abs(ref))
+    return out
+
+
 def sturm_count(squared_couplings, x):
     """Exact number of eigenvalues below x of a zero-diagonal tridiagonal matrix.
 
@@ -229,6 +248,27 @@ def sturm_count(squared_couplings, x):
         else:
             pivot = -x - b2 / pivot
     return count + (pivot is None or pivot < 0)
+
+
+def zero_eigenvalue_count(rounds_max, mode):
+    """Exact number of zero eigenvalues of the pre-correlation matrix PC.
+
+    PC couples only round states two apart, plus the periodic wrap entries,
+    so its graph falls into chains and rings: in finite mode two chains of
+    lengths ceil((N+1)/2) and floor((N+1)/2), in periodic mode two rings of
+    length (N+1)/2 at odd N and one ring of length N+1 at even N.  Each
+    component has simple eigenvalues and a spectrum symmetric under
+    negation (PC is purely imaginary and Hermitian), so it has exactly one
+    zero eigenvalue if its length is odd and none if it is even.
+    """
+    dim = rounds_max + 1
+    if mode == "finite":
+        lengths = ((dim + 1) // 2, dim // 2)
+    elif dim % 2 == 0:
+        lengths = (dim // 2, dim // 2)
+    else:
+        lengths = (dim,)
+    return sum(length % 2 for length in lengths)
 
 
 def jacobi_eigenvector_moduli(a, size, x):

@@ -16,6 +16,7 @@ from oracles import (
     jacobi_eigenvector_moduli,
     sign_classification,
     sturm_count,
+    zero_eigenvalue_count,
 )
 
 SQRT_HALF = math.sqrt(0.5)
@@ -113,6 +114,14 @@ def test_finite_zero_count_follows_block_parity():
         signs = sign_classification(report)
         assert signs.count(0) == expected_zero_count(rounds + 1), rounds
         assert signs.count(-1) == signs.count(1)
+
+
+@pytest.mark.parametrize("mode", ["finite", "periodic"])
+def test_zero_rows_number_the_odd_chains_and_rings(mode):
+    # one zero eigenvalue per odd-length component of PC, in both modes
+    for rounds in [*range(mode == "periodic", 33), 63, 64, 127, 128, 255, 256]:
+        signs = sign_classification(correlation_spectrum(GameSpace(rounds, mode)))
+        assert signs.count(0) == zero_eigenvalue_count(rounds, mode), rounds
 
 
 def test_spectrum_negation_symmetry_both_modes():

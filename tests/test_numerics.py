@@ -12,7 +12,12 @@ from quantumtoss.cli import run_cli
 from quantumtoss.errors import ConvergenceError, InputError
 from quantumtoss.gamespace import GameSpace, build_ladder, build_operators
 
-from oracles import dense_dekker_commutator, eigenvalues_oracle, eigenvector_oracle
+from oracles import (
+    dense_dekker_commutator,
+    eigenvalues_oracle,
+    eigenvector_oracle,
+    fix_phase_by_column,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -119,6 +124,17 @@ def test_hermitian_eigen_phase_convention():
         idx = int(np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col))))
         assert abs(col[idx].imag) <= 1e-12
         assert col[idx].real > 0
+
+
+def test_phase_fix_of_the_whole_matrix_matches_the_column_loop():
+    rng = np.random.default_rng(26)
+    vecs = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
+    vecs[:3, 1] = 0.0  # the reference component sits below exact zeros,
+    vecs[:2, 2] *= 1e-9  # below components under the noise floor,
+    vecs[:, 3] *= 1e-300  # or in a column of tiny moduli
+    vecs[4:, 4] = 0.0
+    for m in (vecs, nx.hermitian_eigen(random_hermitian(31, 40)).vectors):
+        np.testing.assert_array_equal(nx._fix_phase(m), fix_phase_by_column(m))
 
 
 def test_input_validation_rejects_nan():

@@ -28,6 +28,7 @@ from quantumtoss.reports import format_field, one_row, write_csv, write_json
 from quantumtoss.roundwaves import compare_quantum_classical, density_peaks, divergence_scan
 from quantumtoss.svgplot import render_svg
 
+from golden import GOLDEN_OUTPUTS
 from oracles import csv_reference
 
 
@@ -1298,6 +1299,27 @@ def test_tick_labels_of_a_narrow_axis_far_from_zero_are_distinct(capsys, tmp_pat
                         "58.441445", "58.44145"]
 
 
+@pytest.mark.parametrize("argv, x_labels, y_labels", [
+    # a density within three doubles of 1/sqrt(pi): neighbouring multiples of
+    # the tick step rounded to one double, so even 17 digits spelled them alike
+    (("classical", "--n", "0", "--xi-min", "-2.2122711959224807e-08", "--xi-max", "0"),
+     ["-2e-08", "-1.5e-08", "-1e-08", "-5e-09", "0"],
+     ["0.5641895835477561", "0.5641895835477562", "0.5641895835477563"]),
+    # the same on an x axis one double wide
+    (("density", "--n", "0", "--xi-min", "1e300", "--xi-max", "1.0000000000000002e300",
+      "--samples", "5"),
+     ["1.0000000000000001e+300", "1.0000000000000002e+300"], ["-1", "-0.5", "0", "0.5", "1"]),
+])
+def test_ticks_of_an_axis_a_few_doubles_wide_are_distinct(capsys, tmp_path, argv, x_labels,
+                                                          y_labels):
+    svg = tmp_path / "f.svg"
+    code, out, err = run(capsys, *argv, "--svg", str(svg))
+    assert (code, err) == (0, "")
+    texts = list(ElementTree.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text"))
+    assert [t.text for t in texts if t.get("y") == "462.000"] == x_labels
+    assert [t.text for t in texts if t.get("text-anchor") == "end"] == y_labels
+
+
 def test_render_svg_rejects_non_finite_series():
     xs = np.linspace(0.0, 1.0, 4)
     with pytest.raises(InputError, match="non-finite"):
@@ -1318,75 +1340,6 @@ def test_malformed_cutoff_list_starting_with_a_minus_sign(capsys, cutoffs):
     joined = run(capsys, "diverge", "--kind", "plane", f"--cutoffs={cutoffs}")
     assert joined[0] == 2 and "expected one argument" not in joined[2], joined[2]
     assert run(capsys, "diverge", "--kind", "plane", "--cutoffs", cutoffs) == joined
-
-
-# sha256 of stdout and of the --svg figure: a refactoring keeps every byte
-# of these outputs
-GOLDEN_OUTPUTS = [
-    (("density", "--n", "3", "--samples", "401", "--svg"),
-     "f6b5c477f89659ebac39c46f39caa851662df1a51e95856aaa53c2f39f654f11",
-     "a76db3dc2028f15b1a6a9666e7da1437a2ad40b8cee0eb8dd9adea315ae2285e"),
-    (("density", "--n", "12", "--xi-min", "-6", "--xi-max", "6.5", "--samples", "1001", "--svg"),
-     "d0743ec06a232c96ba00285a99c5d2e248be51db4d8dc77ed185bc13f171dc41",
-     "1f09400492fb535123fdedb867bce31f5ff31e33b440da6affe31b864e409862"),
-    (("compare", "--n", "4", "--svg"),
-     "772b1e698386281e26e7fec10d66f5ddcf47a04e90fb4e252a2bf4bc9c3a5d79",
-     "b015f56b5d70db40b93237dc21e4b1431bdae15cbdac1c94050938af9bda2cb6"),
-    (("classical", "--n", "5", "--samples", "801"),
-     "c4d5ce750742d7eb518526536c93efa786554547c0a9e6b83e92c3d046fb8a0c", None),
-    (("variance", "--rounds", "6", "--n", "2", "--player", "1", "--kappa1", "1.5"),
-     "2a37af41c80ab1d6566496ca46f0ef38ad928c21bd2208d4c1c83967f69c65f3", None),
-    (("variance", "--rounds", "6", "--n", "0", "--player", "2", "--kappa2", "0.7"),
-     "85d9571840d9835aaed767725f16214fa716701398572a119077e6981207d8fa", None),
-    (("variance", "--rounds", "6", "--n", "6", "--player", "1", "--kappa1", "3"),
-     "aae75f8d036effc4e8550db7d08d7453cdcb643664da48eade9235ea68511c19", None),
-    (("variance", "--rounds", "6", "--n", "6", "--player", "2", "--kappa1", "3"),
-     "78c3c3181bf3f7d39c7d25370c146801d7ec7a4602931072b7f75e66846aeddc", None),
-    (("spectrum", "--rounds", "7"),
-     "ff47acdd5a02d5698d2122689294b1f65aa43f771b16a5d7f6c929770fbe32ea", None),
-    (("spectrum", "--rounds", "6", "--format", "json", "--kappa1", "2", "--kappa2", "0.5"),
-     "17c46cac3b90c26ea50e7d98e81cccacb5347db6979ce9d51f92bf70a821549c", None),
-    (("spectrum", "--rounds", "7", "--mode", "periodic"),
-     "862c3cc609b441f33cb7afb1e0eb9413d797de85de808156c44105af23505f36", None),
-    (("spectrum", "--rounds", "8", "--mode", "periodic", "--format", "json"),
-     "11f305f94fc2a8c4ef9398a7bd8730ffa1bfd10b8f51896257d174d7464f5115", None),
-    (("sweep", "--rounds-max", "5"),
-     "9724126aeb5e8107c3e53fb976a0d88d94d7c1efeff092fe76a7c0eeeb5b6024", None),
-    (("sweep", "--rounds-max", "6", "--mode", "periodic", "--format", "json"),
-     "5428cd8b30ce2b7500a3066d87ea9dfb00dab040957b7034c6afcc306742feaa", None),
-    (("operators", "--rounds", "4"),
-     "ff72d9749f378755361abc2ab793b2ab60ec342849efc772760adb42b0c3d5a3", None),
-    (("operators", "--rounds", "4", "--format", "json"),
-     "4ad8fb37c1e1c896844cd3fb2a2973806fc0eb8552748ad12c24ed14a2bc73d1", None),
-    (("operators", "--rounds", "3", "--mode", "periodic", "--format", "json", "--kappa2", "2"),
-     "7ed3c73773f9ead3c0378e36499339c06ab546144c115ee27fe143526e3bdb15", None),
-    # tables of several float chunks, with string columns between float runs
-    (("corr-eigen", "--lambda", "1.5", "--samples", "20000"),
-     "891381a3c832d1694b117cabb95813bf05c53b04ddbcd267326634836a6e711b", None),
-    (("density", "--n", "7", "--samples", "10000", "--svg"),
-     "061fad901c6184b1b70a8ab4ed5d8d2a88fbc6f869e13850ad32c506c2fcf664",
-     "02d9c5206f77431068459e0088f5fe14baa70803a7ea7709070dfd81d3ebef4f"),
-    (("operators", "--rounds", "40", "--mode", "periodic"),
-     "4bdb6e05091f2597141bf4dfea82eb5101a52c1860365d509066d2ce6a935ef8", None),
-    (("sweep", "--rounds-max", "20", "--mode", "periodic"),
-     "ad1407bbbd67265eea22a2078e84a61bf57932259c9d6bb394b14081032eab4e", None),
-    # figures whose axes start off a tick, reach far past zero, or carry many markers
-    (("classical", "--n", "5", "--samples", "801", "--svg"),
-     "c4d5ce750742d7eb518526536c93efa786554547c0a9e6b83e92c3d046fb8a0c",
-     "ba9ad220057ffbeadebf7cde2a586fedaeb88ba2d3bec9de1a86e7e95b777368"),
-    (("density", "--n", "2", "--xi-min=-3", "--xi-max", "40", "--samples", "999", "--svg"),
-     "b77ee26f58ab4cb1f89b93c56c020cfad6ed5c42feff5540903c75cfa39a63b9",
-     "f46d8b5ab8c7a943777287eff47dde91169e07923f08004ca2f3e4a00085ebc6"),
-    (("compare", "--n", "17", "--svg"),
-     "73729211f752f4cb24ba03b1d2b15c6a54f75bd108630696a98424060f162d19",
-     "5b55d8df47478fca20474b95fc7ac81d4c80eee2d3874e41c9353b4d30496354"),
-    # the audit as JSON: its commutator and deviation matrices
-    (("audit", "--rounds", "9", "--mode", "periodic", "--format", "json", "--kappa1", "2",
-      "--kappa2", "0.5"),
-     "5127473f574b5b86085b9a490ff1611ccca53fef995d1d5385c68132f83739f9", None),
-    (("audit", "--rounds", "7", "--format", "json"),
-     "0280828bbc270e2dd90ec5275d5d491c7359661b7ab7ee8eebf38001cb798dae", None),
-]
 
 
 @pytest.mark.parametrize("argv, stdout_sha, svg_sha", GOLDEN_OUTPUTS)

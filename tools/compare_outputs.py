@@ -8,7 +8,8 @@ process, with that checkout's ``src/`` on PYTHONPATH and a fresh empty
 working directory.  The two runs must give the same exit code, stdout,
 stderr and written files (names and bytes).  The argv are every command the
 three benchmark workloads draw at seeds 1-8 (``perfbench/workloads.py`` of
-this script's own checkout, which is only read), then the pinned list below.
+this script's own checkout, which is only read), then the commands pinned in
+``tests/golden.py`` (each ``--svg`` given a file name), then the list below.
 Each differing argv is printed with what differs, then the count; the exit
 status is 1 on any difference.  Under each differing stdout or written file
 that is a CSV table or a JSON document, every differing column (CSV) or
@@ -35,39 +36,9 @@ DBL_MAX = "1.7976931348623157e308"
 # compared by its digest alone: parsed, it would take gigabytes
 FIELDS_BYTES_MAX = 32 << 20
 
-# the commands of tests/test_shell.py GOLDEN_OUTPUTS (each --svg given a
-# file name), the largest JSON document, and grids whose end product
-# overflows inside linspace
+# besides the commands of tests/golden.py: the largest JSON document, grids
+# whose end product overflows inside linspace, and rejected input
 PINNED = [
-    ["density", "--n", "3", "--samples", "401", "--svg", "fig.svg"],
-    ["density", "--n", "12", "--xi-min", "-6", "--xi-max", "6.5", "--samples", "1001",
-     "--svg", "fig.svg"],
-    ["compare", "--n", "4", "--svg", "fig.svg"],
-    ["classical", "--n", "5", "--samples", "801"],
-    ["variance", "--rounds", "6", "--n", "2", "--player", "1", "--kappa1", "1.5"],
-    ["variance", "--rounds", "6", "--n", "0", "--player", "2", "--kappa2", "0.7"],
-    ["variance", "--rounds", "6", "--n", "6", "--player", "1", "--kappa1", "3"],
-    ["variance", "--rounds", "6", "--n", "6", "--player", "2", "--kappa1", "3"],
-    ["spectrum", "--rounds", "7"],
-    ["spectrum", "--rounds", "6", "--format", "json", "--kappa1", "2", "--kappa2", "0.5"],
-    ["spectrum", "--rounds", "7", "--mode", "periodic"],
-    ["spectrum", "--rounds", "8", "--mode", "periodic", "--format", "json"],
-    ["sweep", "--rounds-max", "5"],
-    ["sweep", "--rounds-max", "6", "--mode", "periodic", "--format", "json"],
-    ["operators", "--rounds", "4"],
-    ["operators", "--rounds", "4", "--format", "json"],
-    ["operators", "--rounds", "3", "--mode", "periodic", "--format", "json", "--kappa2", "2"],
-    ["corr-eigen", "--lambda", "1.5", "--samples", "20000"],
-    ["density", "--n", "7", "--samples", "10000", "--svg", "fig.svg"],
-    ["operators", "--rounds", "40", "--mode", "periodic"],
-    ["sweep", "--rounds-max", "20", "--mode", "periodic"],
-    ["classical", "--n", "5", "--samples", "801", "--svg", "fig.svg"],
-    ["density", "--n", "2", "--xi-min=-3", "--xi-max", "40", "--samples", "999",
-     "--svg", "fig.svg"],
-    ["compare", "--n", "17", "--svg", "fig.svg"],
-    ["audit", "--rounds", "9", "--mode", "periodic", "--format", "json", "--kappa1", "2",
-     "--kappa2", "0.5"],
-    ["audit", "--rounds", "7", "--format", "json"],
     ["operators", "--rounds", "511", "--format", "json"],
     ["density", "--n", "4", "--xi-min", "-" + DBL_MAX, "--xi-max", "3", "--samples", "227"],
     ["classical", "--n", "3", "--xi-min", "0", "--xi-max", DBL_MAX, "--samples", "128"],
@@ -89,6 +60,14 @@ def workload_argv() -> list[list[str]]:
 
     return [argv for name in workloads.WORKLOADS for seed in SEEDS
             for argv in workloads.generate(name, seed)]
+
+
+def golden_argv() -> list[list[str]]:
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    import golden
+
+    return [[*argv, *(["fig.svg"] if svg_sha else [])]
+            for argv, _, svg_sha in golden.GOLDEN_OUTPUTS]
 
 
 def _digest(path: str) -> str:
@@ -181,7 +160,7 @@ def field_report(before: str, after: str) -> list[str]:
 
 def main(parent: str, change: str) -> int:
     argvs = []
-    for argv in workload_argv() + PINNED:
+    for argv in workload_argv() + golden_argv() + PINNED:
         if argv not in argvs:
             argvs.append(argv)
     differing = 0
