@@ -187,7 +187,7 @@ def _cmd_audit(args):
 
 def _cmd_spectrum(args):
     gs = GameSpace(args.rounds, args.mode, args.kappa1, args.kappa2)
-    _emit(args, reports.spectrum_rows(correlation_spectrum(gs).rows))
+    _emit(args, reports.record_rows(correlation_spectrum(gs).rows))
 
 
 def _cmd_sweep(args):
@@ -195,12 +195,12 @@ def _cmd_sweep(args):
     blocks = [correlation_spectrum(GameSpace(n, args.mode, args.kappa1, args.kappa2)).rows
               for n in range(1, args.rounds_max + 1)]
     rounds = np.repeat(np.arange(1, args.rounds_max + 1), [len(rows) for rows in blocks])
-    _emit(args, {"rounds": rounds, **reports.spectrum_rows([r for rows in blocks for r in rows])})
+    _emit(args, {"rounds": rounds, **reports.record_rows([r for rows in blocks for r in rows])})
 
 
 def _cmd_variance(args):
     gs = GameSpace(args.rounds, "finite", args.kappa1, args.kappa2)
-    _emit(args, reports.one_row(payoff_variance(gs, args.n, args.player)._asdict()))
+    _emit(args, reports.record_rows([payoff_variance(gs, args.n, args.player)]))
 
 
 def _cmd_density(args):
@@ -212,7 +212,7 @@ def _cmd_density(args):
 
 
 def _cmd_peaks(args):
-    _emit(args, reports.one_row(density_peaks(args.n)._asdict()))
+    _emit(args, reports.record_rows([density_peaks(args.n)]))
 
 
 def _cmd_classical(args):
@@ -228,7 +228,7 @@ def _cmd_compare(args):
     xi = uniform_grid(-half, half, 1601)
     _emit(
         args,
-        reports.one_row(rep._asdict()),
+        reports.record_rows([rep]),
         series=[
             (f"round {args.n} density", xi, psi(args.n, xi) ** 2),
             (f"classical walk n={args.n}", xi, classical_mixture_density(args.n, xi)),
@@ -247,7 +247,7 @@ def _cmd_corr_eigen(args):
 
 
 def _cmd_diverge(args):
-    _emit(args, reports.one_row(divergence_scan(args.kind, args.cutoffs)._asdict()))
+    _emit(args, reports.record_rows([divergence_scan(args.kind, args.cutoffs)]))
 
 
 def run_cli(argv) -> int:

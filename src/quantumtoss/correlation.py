@@ -5,7 +5,9 @@ two periodic wrap entries (0, N-1) and (1, N), which cross parity only at
 even N.  Wherever no entry crosses parity the even and odd blocks are
 diagonalized apart, so every eigenstate is parity-pure, which is what forces
 both pay-off expectations to vanish.  Rows are labelled "even" or "odd" in
-finite mode and "mixed" throughout periodic mode.
+finite mode and "mixed" throughout periodic mode.  A row holds exactly the
+``spectrum`` columns; the report holds the eigenvectors beside the rows, one
+matrix column per row.
 """
 
 from typing import NamedTuple
@@ -34,8 +36,6 @@ def classify_signs(eigenvalues) -> np.ndarray:
     return signs
 
 
-# no ``from __future__ import annotations`` here: reports.spectrum_rows reads
-# the field types of CorrelationRow, which a NamedTuple would keep as ForwardRefs
 class CorrelationRow(NamedTuple):
     """One pre-correlation eigenstate and its pay-off statistics: a ``spectrum`` row."""
 
@@ -49,13 +49,16 @@ class CorrelationRow(NamedTuple):
     correlation: float
     pearson: float | None
     sign_class: int
-    vector: np.ndarray
 
 
 class CorrelationReport(NamedTuple):
-    """Eigenvalue-ascending rows for one game space."""
+    """Eigenvalue-ascending rows for one game space, and their eigenstates.
+
+    Column k of ``vectors`` (dim x dim, complex) is the eigenstate of ``rows[k]``.
+    """
 
     rows: tuple[CorrelationRow, ...]
+    vectors: np.ndarray
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -96,10 +99,8 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
 
     step = 1 if np.any(pc[0::2, 1::2]) else 2  # split by parity unless an entry crosses it
     values, labels, columns = [], [], []
-    for start in range(step):
+    for start in range(min(step, dim)):  # dim 1 has no odd block
         index = np.arange(start, dim, step)
-        if index.size == 0:
-            continue
         dec = hermitian_eigen(pc[np.ix_(index, index)])
         vecs = np.zeros((dim, index.size), dtype=complex)
         vecs[index, :] = dec.vectors
@@ -139,5 +140,5 @@ def correlation_spectrum(gs: GameSpace) -> CorrelationReport:
                for c, s in zip(corr.tolist(), spread.tolist())]
     signs = classify_signs(lam).tolist()  # kappa1 kappa2 > 0 keeps every sign
     rows = map(CorrelationRow, range(dim), eigenvalues, labels, exp1, exp2, spread1, spread2,
-               correlation, pearson, signs, vecs.T)
-    return CorrelationReport(rows=tuple(rows))
+               correlation, pearson, signs)
+    return CorrelationReport(rows=tuple(rows), vectors=vecs)

@@ -4,12 +4,11 @@ Every subcommand's output is a table of equal-length columns, keyed by
 column name in output order: a float64 or int64 numpy array, or a list of
 plain Python values (float/int/bool/str/None or lists of floats).  The keys
 are both the CSV header and the JSON row keys, and each column is named in
-one place: a table of result records (named tuples) takes its columns from
-the record's fields, in field order (``spectrum_rows``, and ``one_row`` of
-the ``_asdict()`` of a ``ComparisonReport``, ``DivergenceReport``,
-``PayoffVariance`` or ``PeakSet``); a table of derived columns is named by
-its ``*_rows`` builder, and a sampled grid or the audit's metric/value
-table by the subcommand that prints it.
+one place: a table of result records (named tuples, a row per record) takes
+its columns from the records' fields, in field order, through
+``record_rows``; a table of derived columns is named by its ``*_rows``
+builder, and a sampled grid or the audit's metric/value table by the
+subcommand that prints it.
 CSV writes an array column byte for byte as Python's '%.17g' through
 ``_floattext``, adjacent array columns in one batch per chunk, and a list
 column field by field (a column of strings once per distinct value), with
@@ -29,7 +28,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from ._floattext import rows_text
-from .correlation import CorrelationRow
 from .gamespace import CommutatorAudit, OperatorSet
 
 
@@ -205,9 +203,16 @@ def matrix_json(m: np.ndarray) -> dict:
     return {"re": m.real, "im": m.imag}
 
 
-def one_row(row: dict) -> dict:
-    """The table of a single row, e.g. ``one_row(result._asdict())`` of a result record."""
-    return {name: [value] for name, value in row.items()}
+def record_rows(records: Sequence[tuple]) -> dict:
+    """A row per record (one or more named tuples of one type), a column per field in order.
+
+    A column whose values are all Python floats is a float64 array, one
+    whose values are all Python ints an int64 array; any other column (bool
+    included) is a list.
+    """
+    columns = zip(records[0]._fields, zip(*records))
+    return {name: np.array(values) if set(map(type, values)) in ({float}, {int}) else list(values)
+            for name, values in columns}
 
 
 def operator_rows(ops: OperatorSet) -> dict:
@@ -244,19 +249,6 @@ def audit_detail(audit: CommutatorAudit) -> dict:
         "payoff_commutator": matrix_json(audit.payoff_commutator),
         "pattern_entry_deviation": dict(sorted(audit.pattern_entry_deviation.items())),
     }
-
-
-def spectrum_rows(rows: Sequence[CorrelationRow]) -> dict:
-    """A row per eigenstate, a column per CorrelationRow field but ``vector``.
-
-    Each field declared ``float`` or ``int`` is a float64 or int64 array.
-    """
-    table = {}
-    for name, kind in CorrelationRow.__annotations__.items():
-        if name != "vector":
-            values = [getattr(r, name) for r in rows]
-            table[name] = np.array(values) if kind in (float, int) else values
-    return table
 
 
 def correigen_rows(xi: np.ndarray, values: np.ndarray) -> dict:

@@ -6,7 +6,9 @@ inverse iteration for eigenvectors; it shares no code with the package's
 Householder-QL solver.  Intended for dimension <= 4 with (at most doubly)
 degenerate spectra.  ``sturm_count`` counts the eigenvalues below a point
 of a zero-diagonal symmetric tridiagonal matrix exactly, in rational
-arithmetic, at any dimension, and ``jacobi_eigenvector_moduli`` gives the
+arithmetic, at any dimension, ``ring_count`` does the same for an odd ring
+of purely imaginary couplings such as those ``periodic_rings`` lists for
+the periodic pre-correlation matrix, and ``jacobi_eigenvector_moduli`` gives the
 eigenvector moduli of the finite parity blocks from their orthogonal
 polynomials; ``zero_eigenvalue_count`` is the exact kernel dimension of
 the pre-correlation matrix from the lengths of its chains and rings, and
@@ -269,6 +271,66 @@ def zero_eigenvalue_count(rounds_max, mode):
     else:
         lengths = (dim,)
     return sum(length % 2 for length in lengths)
+
+
+def periodic_rings(rounds_max):
+    """The rings of the periodic pre-correlation matrix, each as 4|t|^2 of its couplings.
+
+    PC = -i (a_plus^2 - a_minus^2) / 2 couples n to n + 2 with |t|^2 =
+    (n+1)(n+2)/4, and the wraps N - 1 to 0 with N/4 and N to 1 with 1/4.
+    Each ring is walked along its cycle from its smallest state: the
+    coupling i joins the states i - 1 and i of the walk, and the last one
+    closes the ring.  One ring of length N + 1 at even N, two of length
+    (N + 1)/2 at odd N.
+    """
+    n, rings, seen = rounds_max, [], set()
+    for start in (0, 1):
+        if start in seen:
+            continue
+        couplings, state = [], start
+        while state != start or not couplings:
+            seen.add(state)
+            if state + 2 <= n:
+                couplings.append((state + 1) * (state + 2))
+                state += 2
+            else:
+                couplings.append(n if state == n - 1 else 1)
+                state = 0 if state == n - 1 else 1
+        rings.append(couplings)
+    return rings
+
+
+def ring_count(couplings, x):
+    """Exact number of eigenvalues below x of an odd ring of purely imaginary couplings.
+
+    The ring's matrix A has zero diagonal and couplings t_i with 4|t_i|^2 =
+    ``couplings[i - 1]`` (integers, in cycle order, the last one closing the
+    ring); x is any rational.  The product of an odd number of purely
+    imaginary entries is imaginary, so the cross term of the ring
+    determinant is 0 and det(A - x I) = D_L - |t_L|^2 D_inner.  Here D_k =
+    -x D_{k-1} - |t_{k-1}|^2 D_{k-2} are the chain minors along the cycle
+    and D_inner the same recurrence over the states 1 .. L-2.  These are the
+    leading principal minors of A - x I, so their sign changes count its
+    negative eigenvalues (Jacobi's rule).  For x = p/q each minor is taken
+    times (2q)^k, which keeps it an integer of the same sign.  Returns None
+    if a minor is 0: then x must move.
+    """
+    if len(couplings) % 2 == 0:
+        raise ValueError(f"ring length {len(couplings)} is even: its cross term does not vanish")
+    x = Fraction(x)
+    p2, q2 = 2 * x.numerator, x.denominator ** 2
+
+    def chain(cs):  # the scaled minors of the chain with couplings cs, sizes 0 .. len(cs) + 1
+        minors = [1, -p2]
+        for c in cs:
+            minors.append(-p2 * minors[-1] - c * q2 * minors[-2])
+        return minors
+
+    minors = chain(couplings[:-1])
+    minors[-1] -= couplings[-1] * q2 * chain(couplings[1:-2])[-1]
+    if 0 in minors:
+        return None
+    return sum((a < 0) != (b < 0) for a, b in zip(minors, minors[1:]))
 
 
 def jacobi_eigenvector_moduli(a, size, x):

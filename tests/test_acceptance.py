@@ -215,7 +215,7 @@ def test_criterion_12_weyl_ordering_from_the_matrix():
     # -lambda log xi: the Weyl exponent s = -1/2 - i lambda, not the printed
     # -1 - i lambda.
     with criterion("12 (Weyl ordering from the matrix eigenvectors)"):
-        rows = correlation_spectrum(GameSpace(127)).rows
+        report = correlation_spectrum(GameSpace(127))
         xi = np.linspace(0.5, 6.0, 400)
         waves = np.array([psi(n, xi) for n in range(128)])
 
@@ -224,12 +224,12 @@ def test_criterion_12_weyl_ordering_from_the_matrix():
 
         for target in (0.0, 0.5, 1.0, 2.0):
             for parity in ("even", "odd"):
-                row = min(
-                    (r for r in rows if r.parity == parity),
-                    key=lambda r: abs(r.eigenvalue - target),
+                k = min(
+                    (r.index for r in report.rows if r.parity == parity),
+                    key=lambda k: abs(report.rows[k].eigenvalue - target),
                 )
-                lam = row.eigenvalue
-                wave = row.vector @ waves
+                lam = report.rows[k].eigenvalue
+                wave = report.vectors[:, k] @ waves
                 decay = slope(np.log(np.abs(wave)))
                 weyl = slope(np.log(np.abs(correlation_eigenfunction(lam, "weyl", xi))))
                 printed = slope(np.log(np.abs(correlation_eigenfunction(lam, "printed", xi))))

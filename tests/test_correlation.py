@@ -14,6 +14,8 @@ from quantumtoss.numerics import hermitian_eigen
 from oracles import (
     correlation_value,
     jacobi_eigenvector_moduli,
+    periodic_rings,
+    ring_count,
     sign_classification,
     sturm_count,
     zero_eigenvalue_count,
@@ -84,8 +86,8 @@ def test_spectrum_dim2_all_zero():
 
 def test_finite_rows_live_on_their_labelled_parity():
     report = correlation_spectrum(GameSpace(4))
-    even = [row.vector for row in report.rows if row.parity == "even"]
-    odd = [row.vector for row in report.rows if row.parity == "odd"]
+    even = [v for row, v in zip(report.rows, report.vectors.T) if row.parity == "even"]
+    odd = [v for row, v in zip(report.rows, report.vectors.T) if row.parity == "odd"]
     assert len(even) == 3 and len(odd) == 2
     assert all(not np.any(v[1::2]) for v in even)
     assert all(not np.any(v[0::2]) for v in odd)
@@ -157,8 +159,8 @@ def test_pearson_bounded_by_one():
 def test_eigenstate_consistency():
     ops = build_operators(GameSpace(6))
     report = correlation_spectrum(GameSpace(6))
-    for row in report.rows:
-        value = correlation_value(row.vector, ops.pi1, ops.pi2, ops.precorrelation)
+    for row, vector in zip(report.rows, report.vectors.T):
+        value = correlation_value(vector, ops.pi1, ops.pi2, ops.precorrelation)
         assert value == pytest.approx(row.eigenvalue, abs=1e-10)
 
 
@@ -300,8 +302,8 @@ def test_periodic_odd_rounds_eigenstates_are_parity_pure(rounds):
     # of the whole matrix lives on even or on odd indices only; N = 1 mod 4
     # gives a double zero eigenvalue, one per parity
     report = correlation_spectrum(GameSpace(rounds, mode="periodic"))
-    for row in report.rows:
-        assert not np.any(row.vector[0::2]) or not np.any(row.vector[1::2])
+    for row, vector in zip(report.rows, report.vectors.T):
+        assert not np.any(vector[0::2]) or not np.any(vector[1::2])
         assert row.exp_pi1 == 0.0 and row.exp_pi2 == 0.0
     lam = report.eigenvalues
     zeros = int(np.sum(np.abs(lam) <= 1e-10 * max(1.0, float(np.max(np.abs(lam))))))
@@ -357,13 +359,13 @@ def test_spectrum_at_the_eigen_ceiling_matches_eigvalsh_and_reruns_identically(m
     pc = build_operators(gs).precorrelation
     lam = first.eigenvalues
     np.testing.assert_allclose(lam, np.linalg.eigvalsh(pc), rtol=0, atol=1e-9)
-    vecs = np.stack([row.vector for row in first.rows], axis=1)
+    vecs = first.vectors
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(512))) <= 1e-10
     resid = np.max(np.linalg.norm(pc @ vecs - vecs * lam, axis=0))
     assert resid <= 1e-10 * (1.0 + float(np.max(np.sum(np.abs(pc), axis=1))))
     second = correlation_spectrum(gs)
     assert second.eigenvalues.tobytes() == lam.tobytes()
-    assert np.stack([row.vector for row in second.rows], axis=1).tobytes() == vecs.tobytes()
+    assert second.vectors.tobytes() == vecs.tobytes()
 
 
 def test_sturm_count_oracle_matches_eigvalsh():
@@ -392,6 +394,42 @@ def test_finite_spectrum_sits_at_its_exact_sturm_counts(rounds):
             assert sturm_count(squared, Fraction(value) + delta) >= k + 1
 
 
+def test_ring_count_oracle_matches_eigvalsh():
+    # odd rings with purely imaginary couplings of either sign, so the count
+    # rests on the cross term vanishing, not on the couplings' phases
+    rng = np.random.default_rng(27)
+    for length in (3, 5, 9):
+        couplings = rng.integers(1, 40, size=length).tolist()
+        a = np.zeros((length, length), dtype=complex)
+        for i, c in enumerate(couplings):
+            j = (i + 1) % length
+            a[i, j] = 1j * rng.choice([-1, 1]) * math.sqrt(c) / 2
+            a[j, i] = np.conj(a[i, j])
+        lam = np.linalg.eigvalsh(a)
+        for x in (-10, Fraction(-1, 3), Fraction(1, 10**9), Fraction(7, 5), 10):
+            assert ring_count(couplings, x) == int(np.sum(lam < float(x))), (length, x)
+
+
+@pytest.mark.parametrize("rounds", [*range(8, 65, 2), 128, 256, 9, 13, 17, 21])
+def test_periodic_odd_ring_spectrum_sits_at_its_exact_counts(rounds):
+    # at even N one ring of odd length N + 1, at N = 1 mod 4 two of odd
+    # length (N + 1) / 2: at a rational point in every gap the exact counts
+    # of the rings add up to the eigenvalues below it; the only eigenvalues
+    # with no gap between them are the double zero of the two rings
+    lam = correlation_spectrum(GameSpace(rounds, "periodic")).eigenvalues
+    rings = periodic_rings(rounds)
+    for k in range(rounds):
+        lo, hi = Fraction(lam[k]), Fraction(lam[k + 1])
+        if hi - lo <= 1e-9:
+            assert len(rings) == 2 and abs(lo) <= 1e-9 and abs(hi) <= 1e-9, k
+            continue
+        for x in (lo + (hi - lo) / 2, lo + (hi - lo) / 3):
+            counts = [ring_count(ring, x) for ring in rings]
+            if None not in counts:
+                break
+        assert sum(counts) == k + 1, (k, counts)
+
+
 @pytest.mark.parametrize("rounds", [7, 31, 120, 255, 511])
 def test_finite_eigenvector_moduli_match_their_orthogonal_polynomials(rounds):
     # after the diagonal phase the finite even block of PC(kappa = 1) is
@@ -400,9 +438,10 @@ def test_finite_eigenvector_moduli_match_their_orthogonal_polynomials(rounds):
     # (read: 3.1e-14 at N = 255, 6.4e-14 at N = 511)
     report = correlation_spectrum(GameSpace(rounds))
     for parity, start, a in (("even", 0, 0.25), ("odd", 1, 0.75)):
-        rows = [row for row in report.rows if row.parity == parity]
+        labelled = [row.parity == parity for row in report.rows]
+        rows = [row for row, keep in zip(report.rows, labelled) if keep]
         assert len(rows) == len(range(start, rounds + 1, 2))
         expected = jacobi_eigenvector_moduli(a, len(rows), [row.eigenvalue / 2 for row in rows])
-        vectors = np.array([row.vector for row in rows]).T
+        vectors = report.vectors[:, labelled]
         assert np.max(np.abs(np.abs(vectors[start::2]) - expected)) <= 1e-12
         assert not np.any(vectors[1 - start::2])

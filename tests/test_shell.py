@@ -24,7 +24,7 @@ from quantumtoss.errors import InputError
 from quantumtoss.correlation import correlation_spectrum
 from quantumtoss.gamespace import GameSpace, audit_commutators, build_operators, payoff_variance
 from quantumtoss.numerics import hermitian_eigen
-from quantumtoss.reports import format_field, one_row, write_csv, write_json
+from quantumtoss.reports import format_field, record_rows, write_csv, write_json
 from quantumtoss.roundwaves import compare_quantum_classical, density_peaks, divergence_scan
 from quantumtoss.svgplot import render_svg
 
@@ -595,21 +595,24 @@ def test_one_row_keys_are_the_csv_header(capsys, argv, result):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     header, _ = parse_csv(out)
-    assert list(one_row(result()._asdict())) == header
+    assert list(record_rows([result()])) == header
 
 
 def test_spectrum_rows_makes_arrays_of_the_numeric_fields(monkeypatch):
-    # read from CorrelationRow's field types; a list column would write the
-    # same bytes, only field by field
+    # read from the values: a column of Python floats or ints is an array,
+    # any other a list, which would write the same bytes, only field by field;
+    # pearson is a list only where a row withholds it (rounds 0)
     kinds = {"index": "i", "eigenvalue": "f", "parity": "list", "exp_pi1": "f", "exp_pi2": "f",
-             "sigma1": "f", "sigma2": "f", "correlation": "f", "pearson": "list",
+             "sigma1": "f", "sigma2": "f", "correlation": "f", "pearson": "f",
              "sign_class": "i"}
     tables = []
     monkeypatch.setattr(cli, "_emit", lambda args, table, **kw: tables.append(table))
-    for argv in (["spectrum", "--rounds", "4"], ["sweep", "--rounds-max", "4"]):
+    for argv in (["spectrum", "--rounds", "4"], ["sweep", "--rounds-max", "4"],
+                 ["spectrum", "--rounds", "0"]):
         assert run_cli(argv) == 0
-    assert [list(t) for t in tables] == [list(kinds), ["rounds", *kinds]]
-    for table, expected in zip(tables, (kinds, {"rounds": "i", **kinds})):
+    assert [list(t) for t in tables] == [list(kinds), ["rounds", *kinds], list(kinds)]
+    for table, expected in zip(tables, (kinds, {"rounds": "i", **kinds},
+                                        {**kinds, "pearson": "list"})):
         assert {name: col.dtype.kind if isinstance(col, np.ndarray) else "list"
                 for name, col in table.items()} == expected
     assert tables[1]["rounds"].tolist() == [n for n in range(1, 5) for _ in range(n + 1)]

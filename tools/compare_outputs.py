@@ -36,10 +36,15 @@ DBL_MAX = "1.7976931348623157e308"
 # compared by its digest alone: parsed, it would take gigabytes
 FIELDS_BYTES_MAX = 32 << 20
 
-# besides the commands of tests/golden.py: the largest JSON document, grids
-# whose end product overflows inside linspace, and rejected input
+# besides the commands of tests/golden.py: the largest JSON document, the
+# spectrum path at its ceilings, grids whose end product overflows inside
+# linspace, and rejected input
 PINNED = [
     ["operators", "--rounds", "511", "--format", "json"],
+    ["spectrum", "--rounds", "511"],
+    ["spectrum", "--rounds", "510", "--mode", "periodic"],
+    ["spectrum", "--rounds", "511", "--mode", "periodic", "--format", "json"],
+    ["sweep", "--rounds-max", "128", "--mode", "periodic"],
     ["density", "--n", "4", "--xi-min", "-" + DBL_MAX, "--xi-max", "3", "--samples", "227"],
     ["classical", "--n", "3", "--xi-min", "0", "--xi-max", DBL_MAX, "--samples", "128"],
     ["corr-eigen", "--lambda", "0", "--ordering", "weyl", "--xi-min", "1", "--xi-max", DBL_MAX,
