@@ -1,48 +1,71 @@
 """Rows of float64 columns as text, byte for byte as Python's ``%.17g`` and ``%.3f``.
 
-``rows_text`` writes a table a chunk of about ``_CHUNK`` float values at a
-time with numpy integer arithmetic, with no Python call per value.  One call
-per run of adjacent float columns of a template writes each field as a few
-8-byte ASCII words (sign, ``0.000`` prefix, leading digits, ``.``, fraction
-digits, exponent from a per-decade table, a per-value separator byte) and
-the mask of the bytes they show, straight into the chunk's buffer, row-major
-in column order; one boolean extraction writes the chunk.
+``rows_text`` writes a table a chunk of ``_CHUNK`` float values at a time with
+numpy integer arithmetic, with no Python call per value.  Each field is a slot
+of 8-byte ASCII words (4 for ``%.17g``, 2 for ``%.3f``) in the chunk's buffer,
+row-major in column order, that holds the field's text and separator byte as
+one unbroken run of bytes; a mask of that run comes from a table, and one
+boolean extraction writes the chunk.  One call per run of adjacent float
+columns of a template writes all their fields.
 
-Digits.  For ``%.17g``, an error-free (Dekker) product of |x| with the
-double-double 10^s gives y = |x| 10^s as p + t with y in [1e16, 1e17); the
-17 correctly rounded digits are round-half-even(y), p an exact integer and
-t carrying the rest to within about 1e-14, exactly where 10^s is a double
-(0 <= s <= 22, which holds most exact ties; the others, at s = 23 and 24
-such as 3 / 2^24, take the near-tie fallback below).  For ``%.3f`` the
-product |x| * 1000 = p + t is exact.  A value this path does not decide
-exactly -- nan, inf, a nonzero |x| outside [1e-270, 1e288] for ``%.17g`` or
-at least 2^40 for ``%.3f``, or an inexact remainder within 1e-9 of a tie --
-shows no byte, and Python's own ``%`` text of it goes in at its place.
+Digits come four at a time from a cached table of the ASCII words "0000" ..
+"9999", which also holds each word's trailing zeros.  A ``%.17g`` slot holds
+the sign and ``0.000`` prefix, the leading digit, then the 16 other digits
+with the decimal point put in by shifting the digits after it one byte up
+under per-class byte masks, then the exponent and separator shifted in right
+after the digits kept.
+
+For ``%.17g``, an error-free (Dekker) product of |x| with the double-double
+10^s from a cached table gives y = |x| 10^s as p + t with y in [1e16, 1e17);
+s comes from the binary exponent of x and one comparison with the least
+double at or above a power of ten.  The 17 correctly rounded digits are
+round-half-even(y), p an exact integer and t carrying the rest to within
+about 1e-14, exactly where 10^s is a double (0 <= s <= 22, which holds most
+exact ties; the others, at s = 23 and 24 such as 3 / 2^24, take the near-tie
+fallback below).  For ``%.3f`` the product |x| * 1000 = p + t is exact.  A
+value this path does not decide exactly -- nan, inf, a nonzero |x| outside
+[_G_MIN, _G_MAX) for ``%.17g`` or at least _F_MAX for ``%.3f``, or an inexact
+remainder within 1e-9 of a tie -- shows no byte, and Python's own ``%`` text
+of it goes in at its place.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
-from .numerics import _split, _two_product
+from .numerics import _SPLIT, _split, _two_product
 
-_CHUNK = 1 << 12  # float values per chunk: about 0.5 MB of words and masks
-_G_MIN, _G_MAX = 1e-270, 1e288  # no product of the %.17g path under- or overflows here
-_F_MAX = 2.0**40
+_CHUNK = 8192  # float values per chunk: about 0.3 MB of words and masks
+_G_MIN, _G_MAX = 2.0**-896, 2.0**956  # 1.9e-270, 6.1e287: no product of the %.17g path under- or overflows
+_F_MAX = 2.0**33  # a %.3f integer part of at most 10 digits
 _TIE_BAND = 1e-9  # far above the 1e-14 error of an inexact remainder
 _THOUSAND = _split(np.float64(1000.0))
-_WORD = np.dtype("<u8")  # byte k of a word is its bits 8k .. 8k+7
+_P_MIN, _P_MAX = -272, 288  # the powers of ten 10^k of the tables
 _U = np.uint64
-_ZEROS = 0x3030303030303030  # eight ASCII "0"
 
 
-def _word(text: bytes) -> np.uint64:
-    return np.frombuffer(text.ljust(8, b"\0"), _WORD)[0]
+def _words(blocks) -> np.ndarray:
+    """Byte blocks (..., 8 w) as rows of ``w`` little-endian words."""
+    blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
+    return blocks.view("<u8").reshape(-1, blocks.shape[-1] // 8)
 
 
-@functools.cache  # at most one entry per decade of [_G_MIN, _G_MAX]
+@functools.cache
+def _digits():
+    """The 10^4 words "0000" .. "9999" (first digit in the low byte) as uint32
+    and uint64, and the trailing zeros of each (4 for "0000")."""
+    d = np.arange(10, dtype=np.uint32)
+    text, zeros = d + ord("0"), (d == 0).astype(np.uint16)
+    for shift in (8, 16, 24):  # one more digit, a byte up
+        text = np.bitwise_or.outer(text, d + ord("0") << shift).ravel()
+        zeros = np.multiply.outer(zeros + 1, d == 0).ravel()
+    return text, text.astype(_U), zeros
+
+
 def _power(s: int) -> tuple[float, float]:
     """10^s as a double-double hi + lo, each correctly rounded."""
     if s >= 0:
@@ -54,147 +77,263 @@ def _power(s: int) -> tuple[float, float]:
     return hi, (den - num * 10**-s) / (den * 10**-s)
 
 
-def _scaled(a, s):
-    """a * 10^s as p + t for each entry, p = fl(a * hi) and t the rest."""
-    first = int(s.min())
-    hi, lo = np.array([_power(k) for k in range(first, int(s.max()) + 1)]).T.take(s - first, axis=1)
-    p, e = _two_product(_split(a), _split(hi))
-    return p, e + a * lo
+@functools.cache
+def _powers():
+    """10^k for k = _P_MIN .. _P_MAX as a double-double (hi, lo): the product
+    of those of 10^(32 q) and 10^r, r = k mod 32, exact for 0 <= k <= 22."""
+    k = np.arange(_P_MIN, _P_MAX + 1)
+    big = np.array([_power(32 * q) for q in range(_P_MIN // 32, _P_MAX // 32 + 1)]).take(k // 32 - _P_MIN // 32, axis=0)
+    small = np.array([_power(r) for r in range(32)]).take(k % 32, axis=0)
+    p, e = _two_product(_split(big[:, 0]), _split(small[:, 0]))
+    e += big[:, 0] * small[:, 1] + big[:, 1] * small[:, 0]
+    hi = p + e
+    return hi, e - (hi - p)
 
 
-def _eight(v):
-    """Each 0 <= v < 10^8 as a word of its eight ASCII digits, most significant first.
+# a %.17g field, 4 words: the sign and "0.000" prefix ending at byte 6, the
+# first digit at byte 7 and the other 16 at bytes 8 .. 23; the digits after
+# the point move one byte up, and the exponent and separator follow the
+# digits kept.  The class of a field is its decade -4 .. 16 (fixed notation),
+# or an exponent of 2 or 3 digits.
+_CLASSES = 23
 
-    Two 4-digit halves in 32-bit lanes, then four 2-digit quarters in 16-bit
-    lanes, then eight digits in bytes; x * 5243 >> 19 is x // 100 below
-    10^4 and x * 103 >> 10 is x // 10 below 100.
+
+@functools.cache
+def _g17_tables():
+    """The cached tables of ``_g17``, built with numpy arithmetic at the first call."""
+    hi, lo = _powers()
+    text, _, zeros = _digits()
+
+    # by the biased binary exponent of |x|: whether the fast path takes it, the
+    # power index of 10^s for s = 16 - floor(log10 2^e), and the least double
+    # at or above the next power of ten, where the decade goes up by one
+    e = np.arange(2048) - 1023
+    ok = (e >= -896) & (e < 956)
+    low = np.where(ok, e * 78913 >> 18, 0)  # floor(e log10 2) for |e| < 1650
+    up = low + 1 - _P_MIN
+    threshold = (hi[up].view(np.int64) + (lo[up] > 0)).view(float)
+
+    # by class: the point after digit P (17: none), the prefix "0.00.." and the
+    # exponent length; by power index i (the decade 16 - k of 10^k, k = i +
+    # _P_MIN): the class, its exponent text, and the bytes of the digit words
+    # 1 and 2 that move up
+    c = np.arange(_CLASSES)
+    small = c < 4
+    point = np.where(c < 21, np.where(small, 17, c - 3), 1)
+    prefix = np.where(small, 5 - c, 0)
+    elen = np.where(c < 21, 0, 4 + (c == 22))
+    dec = 16 - np.arange(_P_MIN, _P_MAX + 1)
+    cls = np.where((dec >= -4) & (dec <= 16), dec + 4, 21 + (np.abs(dec) >= 100))
+    digits = text.take(np.minimum(np.abs(dec), 999)).astype(np.int64) >> np.where(np.abs(dec) >= 100, 8, 16)
+    exponent = np.where(cls < 21, 0, ord("e") | np.where(dec < 0, ord("-"), ord("+")) << 8 | digits << 16)
+    pos = np.arange(32)
+    moves = _words(np.where(pos[8:24] >= 7 + point[:, None], 0xFF, 0)).take(cls, axis=0).T
+
+    # by (class, digits kept K): the XOR that puts in the point where it shows
+    # and clears the digits after byte r, where the exponent and separator go
+    P, kept = point[:, None, None], np.arange(1, 18)[:, None]
+    r = 7 + np.where(small[:, None, None], kept, np.maximum(kept, P)) + (kept > P)
+    digit = (pos >= 8) & (pos <= np.where(P < 17, 24, 23)) & (pos != 7 + P)
+    xor = _words(np.where((pos == 7 + P) & (kept > P), ord("."), np.where(digit & (pos >= r), ord("0"), 0))).T
+
+    # by (sign, class, K): the run of bytes shown; with the first digit, word 0
+    neg = np.arange(2)[:, None, None, None]
+    masks = _words((pos >= 7 - neg - prefix[:, None, None]) & (pos < r + elen[:, None, None] + 1))
+    first = 7 - prefix[:, None]
+    word0 = np.where((pos[:8] >= first) & (pos[:8] < 7), np.where(pos[:8] == first + 1, ord("."), ord("0")), 0)
+    word0 = np.where(neg[..., 0] & (pos[:8] == first - 1), ord("-"), word0)
+    word0 = _words(word0).repeat(17)[:, None] | (ord("0") + np.arange(10, dtype=_U)) << _U(56)
+    return SimpleNamespace(
+        ok=ok, index=16 - low - _P_MIN, threshold=threshold, power=(*_split(hi), lo),
+        exponent=exponent[:, None].astype(_U).T[0], shift=(8 * elen[cls]).astype(_U), row=17 * cls,
+        moves=moves, xor=xor, at=(8 * r).astype(_U).ravel(), masks=masks, word0=word0.ravel(),
+        offsets=np.arange(4)[:, None] * 10**4,
+        last=np.where(np.arange(10**4) == 0, 0, 4 * np.arange(1, 5)[:, None] - zeros).astype(np.uint8).ravel(),
+    )
+
+
+def _scaled(x, t):
+    """|x| 10^s in [1e16, 1e17) as p + rest, by the error-free product of
+    ``_two_product`` done in place; the power index of s, and where the fast
+    path takes x."""
+    a = np.abs(x)
+    e = a.view(np.int64) >> 52
+    ok = t.ok.take(e)
+    a[~ok] = 1.0
+    ip = t.index.take(e)
+    ip -= a >= t.threshold.take(e)
+    del e
+    ah = a * _SPLIT  # a = ah + al, as _split
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    p, hh, hl = (h.take(ip) for h in t.power[:3])
+    p *= a
+    rest = ah * hh
+    rest -= p
+    ah *= hl
+    rest += ah
+    hh *= al
+    rest += hh
+    al *= hl
+    rest += al
+    del ah, al, hh, hl
+    lo = t.power[3].take(ip)
+    lo *= a
+    rest += lo
+    return p, rest, ip, ok
+
+
+def _rounded17(x, t):
+    """The 17 digits of each |x| rounded as an integer d, the power index of
+    the 10^s that scaled it, and where the fast path holds it exactly."""
+    p, rest, ip, exact = _scaled(x, t)
+    exact |= x == 0.0  # 0 is written as 1, then its digit set to 0
+    whole = np.floor(rest)
+    rest -= whole
+    d = p.astype(np.int64)
+    d += whole.astype(np.int64)  # floor(|x| 10^s)
+    d += rest > 0.5
+    near = np.abs(rest - 0.5) <= _TIE_BAND
+    if near.any():  # p + rest is exact where 10^s is a double
+        exact &= ~near | (t.power[3].take(ip) == 0.0)
+        d += (rest == 0.5) & ((d & 1) == 1)
+    carry = d == 10**17
+    if carry.any():
+        d[carry] = 10**16
+        ip -= carry
+    return d, ip, exact
+
+
+def _g17(x, sep, chars, mask):
+    """Write each '%.17g' % x and its ``sep`` byte into its field, the last axis
+    of ``chars`` and ``mask`` (4 words); returns where the field holds it exactly.
+
+    Each array is dropped once used: the chunk's working set is pinned by a test.
     """
-    v = v.astype(_U)
-    hi = v // _U(10000)
-    x = hi | (v - hi * _U(10000)) << _U(32)
-    hi = (x * _U(5243)) >> _U(19) & _U(0x0000007F0000007F)
-    x = hi | (x - hi * _U(100)) << _U(16)
-    hi = (x * _U(103)) >> _U(10) & _U(0x000F000F000F000F)
-    x = hi | (x - hi * _U(10)) << _U(8)
-    return x | _U(_ZEROS)
+    t = _g17_tables()
+    shape, x = x.shape, x.ravel()
+    d, ip, exact = _rounded17(x, t)
+
+    # d0, then d1 .. d16 as four 4-digit groups, a row each: the ASCII words of
+    # d1 .. d16, and how many of them are kept (up to the last nonzero one)
+    first = d // 10**16
+    d -= first * 10**16
+    groups = np.empty((4, x.size), np.int64)
+    np.floor_divide(d, 10**8, out=groups[1])
+    np.subtract(d, groups[1] * 10**8, out=groups[3])
+    del d
+    np.floor_divide(groups[1::2], 10**4, out=groups[::2])
+    groups[1::2] -= groups[::2] * 10**4
+    _, text, _ = _digits()
+    w1, w2 = (text.take(g) for g in groups[1::2])
+    w1 <<= _U(32)
+    w1 |= text.take(groups[0])
+    w2 <<= _U(32)
+    w2 |= text.take(groups[2])
+    groups += t.offsets
+    c = t.last.take(groups).max(axis=0)
+    del groups
+    c = t.row.take(ip) + c  # (class, digits kept less one)
+    index = np.signbit(x) * (_CLASSES * 17) + c
+    np.take(t.masks, index.reshape(shape), axis=0, out=mask, mode="clip")  # unbuffered: no copy
+    index *= 10
+    index += first
+    index -= x == 0.0
+    chars[..., 0] = t.word0.take(index).reshape(shape)
+    del x, index, first
+
+    # words 1 .. 3: the digits after the point one byte up, the point put in and
+    # the digits not kept cleared, then the exponent and separator at byte r
+    tail = (t.exponent.take(ip).reshape(shape) | sep << t.shift.take(ip).reshape(shape)).ravel()
+    move, up = (m.take(ip) for m in t.moves)
+    del ip
+    at = t.at.take(c)
+    move &= w1
+    w1 += move * _U(255)
+    w1 ^= t.xor[1].take(c)
+    np.bitwise_or(w1.reshape(shape), (tail << (at - _U(64))).reshape(shape), out=chars[..., 1])
+    del w1
+    move >>= _U(56)
+    up &= w2
+    w2 += up * _U(255)
+    w2 += move
+    w2 ^= t.xor[2].take(c)
+    w2 |= tail << (at - _U(128))
+    np.bitwise_or(w2.reshape(shape), (tail >> (_U(128) - at)).reshape(shape), out=chars[..., 2])
+    del w2
+    up >>= _U(56)
+    up ^= t.xor[3].take(c)
+    up |= tail << (at - _U(192))
+    np.bitwise_or(up.reshape(shape), (tail >> (_U(192) - at)).reshape(shape), out=chars[..., 3])
+    return exact.reshape(shape)
+
+
+# a %.3f field, 2 words: a pad digit, 10 integer digits | ".ddd", separator;
+# the pad digit before the first shown one becomes "-"
+@functools.cache
+def _f3_tables():
+    """By (sign, integer digits less one): the "-" as a difference of word 0
+    and of word 1, and the bytes shown; by the binary exponent of the integer
+    part: its digits less one were it below the next power of ten, and that
+    power; and ".000" .. ".999" at bytes 3 .. 6."""
+    neg, count = np.arange(2)[:, None, None], np.arange(1, 11)[None, :, None]
+    pos = np.arange(16)[None, None, :]
+    minus = _words(np.where((neg == 1) & (pos == 10 - count), ord("0") - ord("-"), 0)).T.copy()
+    shown = _words(np.broadcast_to(pos >= 11 - count - neg, (2, 10, 16)))
+    e = np.clip(np.arange(2048) - 1023, 0, 40)
+    low = np.floor(e * np.log10(2.0)).astype(np.int64)
+    _, text, _ = _digits()
+    return minus, shown, low, 10 ** (low + 1), (text[:1000] & _U(0xFFFFFF00) | _U(ord("."))) << _U(24)
+
+
+def _f3(x, sep, chars, mask):
+    """Write each '%.3f' % x and its ``sep`` byte into its field, the last axis
+    of ``chars`` and ``mask`` (2 words); returns where the field holds it exactly."""
+    shape, x = x.shape, x.ravel()
+    a = np.abs(x)
+    exact = a < _F_MAX  # False on nan and inf
+    a = np.where(exact, a, 0.0)
+    p = a * 1000.0
+    whole = np.floor(p)
+    p -= whole  # exact, and a multiple of ulp(p) > 2 |t| for a * 1000 == p + t
+    r = whole.astype(np.int64)
+    r += p > 0.5
+    tie = p == 0.5
+    if tie.any():  # the sign of t decides, and the even digit where t == 0
+        _, t = _two_product(_split(a[tie]), _THOUSAND)
+        r[tie] += (t > 0) | ((t == 0) & ((r[tie] & 1) == 1))
+    integer = r // 1000
+    r -= integer * 1000
+    top = integer // 10**8
+    low = integer - top * 10**8
+    mid = low // 10**4
+    low -= mid * 10**4
+    _, text, _ = _digits()
+    minus, shown, digits, limit, dot = _f3_tables()
+    low = text.take(low)
+    w0 = text.take(top) >> _U(8)
+    w0 |= text.take(mid) << _U(24)
+    w0 |= low << _U(56)
+    low >>= _U(8)
+    low |= dot.take(r)
+    e = integer.astype(float).view(np.int64) >> 52
+    i = digits.take(e) + (integer >= limit.take(e)) + np.signbit(x) * 10
+    w0 -= minus[0].take(i)
+    low -= minus[1].take(i)
+    chars[..., 0] = w0.reshape(shape)
+    np.bitwise_or(low.reshape(shape), sep << _U(56), out=chars[..., 1])
+    mask[...] = shown.take(i, axis=0).reshape(mask.shape)
+    return exact.reshape(shape)
+
+
+_FORMATS = {"%.17g": (_g17, 4), "%.3f": (_f3, 2)}  # writer and field width in words
 
 
 def _shown(start, stop, width: int):
     """Mask of the positions [start, stop) of a block ``width`` wide, a row per entry."""
     pos = np.arange(width)
     return (pos >= np.reshape(start, (-1, 1))) & (pos < np.reshape(stop, (-1, 1)))
-
-
-def _words(masks: list) -> np.ndarray:
-    """Boolean blocks side by side, as rows of words."""
-    rows = max(len(m) for m in masks)
-    return np.hstack([np.broadcast_to(m, (rows, m.shape[1])) for m in masks]).view(_WORD)
-
-
-# a %.17g field, 7 words: " -0.000" d0 | d1..d8 | d9..d16 | "      ." d0 | d1..d8 |
-# d9..d16 | "e+ddd" or " e+dd", separator
-_G_CLASSES = np.array([*range(-4, 17), 17, 100])  # the 21 fixed decades, then e+dd and e+ddd
-
-
-@functools.cache
-def _g17_tables():
-    """Bytes shown by a %.17g field, per (sign, decade class, digits kept); and the
-    exponent word ("e-ddd", or "ee-dd" shown from byte 1) and class of each decade -270 .. 288."""
-    e = np.arange(-270, 289)
-    text = b"".join(b"e%+04d\0\0\0" % k if abs(k) >= 100 else b"ee%+03d\0\0\0" % k for k in e.tolist())
-    neg, cls, kept = (a.ravel() for a in np.indices((2, _G_CLASSES.size, 17)))
-    exp10, kept = _G_CLASSES[cls], kept + 1
-    fixed = cls < 21
-    small = fixed & (exp10 < 0)
-    lead = np.where(fixed, np.maximum(exp10 + 1, 0), 1)
-    start = np.where(cls == 22, 0, 1)
-    off, on = np.zeros((1, 1), bool), np.ones((1, 1), bool)
-    return _words([
-        off, _shown(0, neg, 1), _shown(0, np.where(small, 1 - exp10, 0), 5),
-        _shown(0, lead, 17), np.zeros((1, 6), bool), _shown(0, (kept > lead) & ~small, 1),
-        _shown(lead, kept, 17), _shown(start, np.where(fixed, start, 5), 5), on, off, off,
-    ]), np.frombuffer(text, _WORD), np.where((e >= -4) & (e < 17), e + 4, 21 + (abs(e) >= 100))
-
-
-def _g17(x, sep, chars, mask):
-    """Write each '%.17g' % x and its ``sep`` byte into its field, the last axis
-    of ``chars`` and ``mask`` (7 words); returns where the field holds it exactly."""
-    a = np.abs(x)
-    zero = a == 0.0  # written as 1, then its digit set to 0
-    exact = zero | ((a >= _G_MIN) & (a <= _G_MAX))  # False on nan
-    a[zero | ~exact] = 1.0
-    s = 16 - np.floor(np.log10(a)).astype(np.int64)
-    p, t = _scaled(a, s)
-    # np.log10 can miss the decade by one next to a power of ten
-    shift = ((p < 1e16) | ((p == 1e16) & (t < 0))).astype(np.int64)
-    shift -= (p > 1e17) | ((p == 1e17) & (t >= 0))
-    if shift.any():
-        s += shift
-        p, t = _scaled(a, s)
-    whole = np.floor(t)
-    rest = t - whole
-    d = p.astype(np.int64) + whole.astype(np.int64)  # floor(|x| 10^s)
-    exact &= ((s >= 0) & (s <= 22)) | (np.abs(rest - 0.5) > _TIE_BAND)  # p + t exact where 10^s is a double
-    d += (rest > 0.5) | ((rest == 0.5) & ((d & 1) == 1))
-    carry = d == 10**17
-    d[carry] = 10**16
-    decade = 286 - s + carry  # exp10 + 270
-
-    u = d.astype(_U)
-    high = u // _U(10**8)
-    first = high // _U(10**8)
-    mid, low = _eight(high - first * _U(10**8)), _eight(u - high * _U(10**8))
-    first = (first - zero + _U(0x30)) << _U(56)
-    masks, exponent, cls = _g17_tables()
-    chars[..., 0] = _word(b" -0.000") | first
-    chars[..., 1] = chars[..., 4] = mid
-    chars[..., 2] = chars[..., 5] = low
-    chars[..., 3] = _word(b"      .") | first
-    chars[..., 6] = exponent.take(decade) | sep << _U(40)
-
-    # digits kept: 17 less the trailing zeros of d1..d16, the high zero bytes of
-    # the digit words less "0"; as each byte is at most 9, frexp's exponent of a
-    # word as a float is its exact bit length
-    zeros = 7 - ((np.frexp((np.stack([low, mid]) ^ _U(_ZEROS)).astype(float))[1] - 1) >> 3)
-    kept = 17 - zeros[0] - (zeros[0] == 8) * zeros[1]
-    mask[...] = masks.take((np.signbit(x) * _G_CLASSES.size + cls.take(decade)) * 17 + kept - 1, axis=0)
-    return exact
-
-
-# a %.3f field, 3 words: "  -" and 13 integer digits (2^40 has 13) | ".ddd", separator
-@functools.cache
-def _f3_masks():
-    """Bytes shown by a %.3f field, per (sign, integer digits less one)."""
-    neg, count = (a.ravel() for a in np.indices((2, 13)))
-    return _words([
-        np.zeros((1, 2), bool), _shown(0, neg, 1), _shown(12 - count, 13, 13),
-        np.ones((1, 5), bool), np.zeros((1, 3), bool),
-    ])
-
-
-def _f3(x, sep, chars, mask):
-    """Write each '%.3f' % x and its ``sep`` byte into its field, the last axis
-    of ``chars`` and ``mask`` (3 words); returns where the field holds it exactly."""
-    a = np.abs(x)
-    exact = a < _F_MAX  # False on nan and inf
-    a[~exact] = 0.0
-    p, t = _two_product(_split(a), _THOUSAND)  # a * 1000 == p + t exactly
-    whole = np.floor(p)
-    rest = p - whole  # exact, and a multiple of ulp(p) > 2 |t|: only rest == 0.5 needs t
-    r = whole.astype(np.int64)
-    r += (rest > 0.5) | ((rest == 0.5) & ((t > 0) | ((t == 0) & ((r & 1) == 1))))
-    integer, fraction = np.divmod(r, 1000)
-
-    high = integer // 10**8
-    chars[..., 0] = _eight(high) & ~_U(0xFF0000) | _word(b"  -")
-    chars[..., 1] = _eight(integer - high * 10**8)
-    chars[..., 2] = (_eight(fraction) >> _U(32)) & _U(0xFFFFFF00) | _word(b".") | sep << _U(32)
-    count = np.searchsorted(10 ** np.arange(1, 13), integer, side="right")  # digits less one
-    mask[...] = _f3_masks().take(np.signbit(x) * 13 + count, axis=0)
-    return exact
-
-
-_FORMATS = {"%.17g": (_g17, 7), "%.3f": (_f3, 3)}  # writer and field width in words
 
 
 def _strings(strings, sep: int):
@@ -204,7 +343,7 @@ def _strings(strings, sep: int):
     width = 8 * (int(lengths.max(initial=0)) // 8 + 1)
     chars = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
     chars[np.arange(len(data)), lengths] = sep
-    return chars.view(_WORD), _shown(0, lengths + 1, width).view(_WORD)
+    return chars.view("<u8"), _shown(0, lengths + 1, width).view("<u8")
 
 
 def _chunk(columns, marks) -> str:
@@ -214,22 +353,22 @@ def _chunk(columns, marks) -> str:
     firsts = [j for j, (t, _) in enumerate(columns) if t == "%s" or j == 0 or columns[j - 1][0] != t]
     runs = [(columns[j][0], j, stop) for j, stop in zip(firsts, firsts[1:] + [len(columns)])]
     strings = {j: _strings(columns[j][1], marks[j]) for t, j, _ in runs if t == "%s"}
-    starts = np.cumsum([0] + [strings[j][0].shape[1] if t == "%s" else _FORMATS[t][1] * (stop - j)
-                              for t, j, stop in runs]).tolist()
-    chars, mask = np.empty((2, rows, starts[-1]), _WORD)
+    starts = list(itertools.accumulate([strings[j][0].shape[1] if t == "%s" else _FORMATS[t][1] * (stop - j)
+                                        for t, j, stop in runs], initial=0))
+    chars, mask = np.empty((2, rows, starts[-1]), "<u8")
     slow = []
     for (template, j, stop), lo, hi in zip(runs, starts, starts[1:]):
         if template == "%s":
             chars[:, lo:hi], mask[:, lo:hi] = strings[j]
             continue
         write, width = _FORMATS[template]
-        x = np.stack([values for _, values in columns[j:stop]], axis=1, dtype=float)
         words, shown = (a[:, lo:hi].reshape(rows, stop - j, width) for a in (chars, mask))  # views
-        exact = write(x, marks[j:stop], words, shown)
+        exact = write(np.stack([v for _, v in columns[j:stop]], axis=1, dtype=float), marks[j:stop], words, shown)
         if exact.all():
             continue
         shown[~exact] = 0
-        for (r, i), value in zip(np.argwhere(~exact).tolist(), x[~exact].tolist()):
+        values = np.stack([v for _, v in columns[j:stop]], axis=1, dtype=float)[~exact]
+        for (r, i), value in zip(np.argwhere(~exact).tolist(), values.tolist()):
             slow.append((8 * (r * starts[-1] + lo + i * width), template % value + chr(marks[j + i])))
     text = chars.view(np.uint8).ravel()[mask.view(bool).ravel()]
     if slow:  # a field Python writes shows no byte: its ASCII text goes after the bytes before it

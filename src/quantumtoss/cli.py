@@ -139,9 +139,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# characters per write: a stream encodes each write whole, so a document goes
+# out in slices, not as one encoded copy beside the text it came from
+_SLICE = 1 << 20
+
+
+def _write_text(fh, text: str) -> None:
+    for lo in range(0, len(text), _SLICE):
+        fh.write(text[lo:lo + _SLICE])
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        _write_text(fh, text)
 
 
 def _emit(args, table, audit=None, series=(), markers=()):
@@ -164,7 +174,7 @@ def _emit(args, table, audit=None, series=(), markers=()):
     if getattr(args, "out", None) is not None:
         _write(args.out, text)
     else:
-        sys.stdout.write(text)
+        _write_text(sys.stdout, text)
 
 
 def _cmd_operators(args):

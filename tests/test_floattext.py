@@ -3,7 +3,9 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import quantumtoss
 from quantumtoss import svgplot
-from quantumtoss._floattext import _CHUNK, _F_MAX, _G_MAX, _G_MIN, _eight, _g17, rows_text
+from quantumtoss._floattext import _CHUNK, _F_MAX, _G_MAX, _G_MIN, _digits, _g17, _g17_tables, _powers, rows_text
 from quantumtoss.reports import write_csv
 from quantumtoss.svgplot import render_svg
 
@@ -91,7 +93,7 @@ def test_exact_ties_where_the_power_of_ten_is_inexact():
     # to Python's formatting
     k = np.arange(1, 64, 2)
     x = np.concatenate([k / 2.0**24, k / 2.0**25])
-    exact = _g17(x, ord(","), *np.empty((2, x.size, 7), np.uint64))
+    exact = _g17(x, ord(","), *np.empty((2, x.size, 4), np.uint64))
     assert not exact.all()
     check(x)
 
@@ -103,9 +105,37 @@ def test_three_decimal_ties():
 
 
 def test_eight_digit_words():
+    # two words of the digit table, the second a half-word up, spell eight digits
     v = np.concatenate([np.arange(0, 10**8, 9973), [10**8 - 1, 9999, 10000, 99, 100]])
-    text = _eight(v).astype("<u8").view("S8").astype(str)
-    assert text.tolist() == [f"{k:08d}" for k in v.tolist()]
+    _, text, _ = _digits()
+    words = text.take(v // 10**4) | text.take(v % 10**4) << np.uint64(32)
+    assert words.astype("<u8").view("S8").astype(str).tolist() == [f"{k:08d}" for k in v.tolist()]
+
+
+def test_digit_table_spells_and_counts_trailing_zeros():
+    text, wide, zeros = _digits()
+    k = range(10**4)
+    assert text.view("S4").astype(str).tolist() == [f"{i:04d}" for i in k]
+    assert np.array_equal(wide, text)
+    assert zeros.tolist() == [len(f"{i:04d}") - len(f"{i:04d}".rstrip("0")) for i in k]
+
+
+def test_power_table_and_decade_thresholds():
+    # each 10^k a double-double within 2^-104 of it, the high part correctly
+    # rounded, exact where 10^k is a double; each threshold the least double at
+    # or above the power of ten that ends the decade of its binary exponent
+    hi, lo = _powers()
+    for i, k in enumerate(range(-272, 289)):
+        power = Fraction(10) ** k
+        assert hi[i] == float(power)
+        assert abs(Fraction(hi[i]) + Fraction(lo[i]) - power) <= power / 2**104
+        assert (lo[i] == 0) == (0 <= k <= 22)
+    t = _g17_tables()
+    for e in np.flatnonzero(t.ok).tolist():
+        k = 16 - (int(t.index[e]) - 272) + 1  # the next power of ten
+        power = Fraction(10) ** k
+        assert Fraction(2) ** (e - 1023) * 10 >= power > Fraction(2) ** (e - 1023)
+        assert Fraction(t.threshold[e]) >= power > Fraction(np.nextafter(t.threshold[e], 0.0))
 
 
 def test_no_runtime_warning_on_any_input():
@@ -155,6 +185,22 @@ def test_mixed_tables_as_python_writes_them_row_by_row(templates, seed, chunks, 
         for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for _, c in columns))
     )
     assert same_lines(rows_text(columns, end), want) is None
+
+
+def test_one_chunk_of_a_four_column_table_stays_within_its_working_set():
+    # the corr-eigen shape, one full chunk: the peak of the arrays a chunk
+    # holds, which sets the workload's peak RSS
+    rng = np.random.default_rng(28)
+    rows = _CHUNK // 4
+    columns = [("%.17g", rng.normal(size=rows) * 10.0 ** rng.integers(-30, 5, rows)) for _ in range(4)]
+    rows_text(columns, "\n")  # the cached tables
+    tracemalloc.start()
+    try:
+        rows_text(columns, "\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20, peak
 
 
 def test_render_svg_polyline_bytes_match_the_pair_join():
