@@ -2,21 +2,20 @@
 
 ``rows_text`` writes a table a chunk of ``_CHUNK`` float values at a time with
 numpy integer arithmetic, with no Python call per value.  Each field is a slot
-of 8-byte ASCII words (4 for ``%.17g``, 2 for ``%.3f``) in the chunk's buffer,
-row-major in column order, that holds the field's text and separator byte as
-one unbroken run of bytes; a mask of that run comes from a table, and one
-boolean extraction writes the chunk.  One call per run of adjacent float
-columns of a template writes all their fields.
+of 8-byte words in the chunk's buffer, row-major in column order: 4 words for
+``%.17g``, 2 for ``%.3f``.  A slot holds the field's text and separator byte
+as one unbroken run of bytes, and a byte mask of that run comes from a table,
+so one boolean extraction copies one run per field.  One call per run of
+adjacent float columns of a template writes all their fields.
 
 Digits come four at a time from a cached table of the ASCII words "0000" ..
-"9999", which also holds each word's trailing zeros.  A ``%.17g`` slot holds
-the sign and ``0.000`` prefix, the leading digit, then the 16 other digits
-with the decimal point put in by shifting the digits after it one byte up
-under per-class byte masks, then the exponent and separator shifted in right
-after the digits kept.
+"9999" and their trailing zeros.  A ``%.17g`` slot holds the sign and
+"0.000" prefix, the first digit, then the other 16 digits; those after the
+decimal point move one byte up (a word plus 255 times its bytes to move),
+and the exponent and separator are shifted in right after the digits kept.
 
 For ``%.17g``, an error-free (Dekker) product of |x| with the double-double
-10^s from a cached table gives y = |x| 10^s as p + t with y in [1e16, 1e17);
+10^s of a cached table gives y = |x| 10^s as p + t with y in [1e16, 1e17);
 s comes from the binary exponent of x and one comparison with the least
 double at or above a power of ten.  The 17 correctly rounded digits are
 round-half-even(y), p an exact integer and t carrying the rest to within
@@ -26,20 +25,21 @@ fallback below).  For ``%.3f`` the product |x| * 1000 = p + t is exact.  A
 value this path does not decide exactly -- nan, inf, a nonzero |x| outside
 [_G_MIN, _G_MAX) for ``%.17g`` or at least _F_MAX for ``%.3f``, or an inexact
 remainder within 1e-9 of a tie -- shows no byte, and Python's own ``%`` text
-of it goes in at its place.
+of it goes in at its place.  The tables are built at the first call.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
 from .numerics import _SPLIT, _split, _two_product
 
-_CHUNK = 8192  # float values per chunk: about 0.3 MB of words and masks
+_CHUNK = 8192  # float values per chunk: 0.5 MB of %.17g words and masks
 _G_MIN, _G_MAX = 2.0**-896, 2.0**956  # 1.9e-270, 6.1e287: no product of the %.17g path under- or overflows
 _F_MAX = 2.0**33  # a %.3f integer part of at most 10 digits
 _TIE_BAND = 1e-9  # far above the 1e-14 error of an inexact remainder
@@ -56,14 +56,13 @@ def _words(blocks) -> np.ndarray:
 
 @functools.cache
 def _digits():
-    """The 10^4 words "0000" .. "9999" (first digit in the low byte) as uint32
-    and uint64, and the trailing zeros of each (4 for "0000")."""
-    d = np.arange(10, dtype=np.uint32)
-    text, zeros = d + ord("0"), (d == 0).astype(np.uint16)
-    for shift in (8, 16, 24):  # one more digit, a byte up
-        text = np.bitwise_or.outer(text, d + ord("0") << shift).ravel()
-        zeros = np.multiply.outer(zeros + 1, d == 0).ravel()
-    return text, text.astype(_U), zeros
+    """The 10^4 words "0000" .. "9999" (first digit in the low byte), and the
+    trailing zeros of each (4 for "0000")."""
+    text, zeros = np.arange(ord("0"), ord(":"), dtype=_U), np.array([1] + [0] * 9)
+    for width in (1, 2):  # each word, then each word after it
+        text = (text[:, None] | text << _U(8 * width)).ravel()
+        zeros = (zeros + (zeros == width) * zeros[:, None]).ravel()
+    return text, zeros
 
 
 def _power(s: int) -> tuple[float, float]:
@@ -81,11 +80,12 @@ def _power(s: int) -> tuple[float, float]:
 def _powers():
     """10^k for k = _P_MIN .. _P_MAX as a double-double (hi, lo): the product
     of those of 10^(32 q) and 10^r, r = k mod 32, exact for 0 <= k <= 22."""
-    k = np.arange(_P_MIN, _P_MAX + 1)
-    big = np.array([_power(32 * q) for q in range(_P_MIN // 32, _P_MAX // 32 + 1)]).take(k // 32 - _P_MIN // 32, axis=0)
-    small = np.array([_power(r) for r in range(32)]).take(k % 32, axis=0)
-    p, e = _two_product(_split(big[:, 0]), _split(small[:, 0]))
-    e += big[:, 0] * small[:, 1] + big[:, 1] * small[:, 0]
+    blocks = range(_P_MIN // 32, _P_MAX // 32 + 1)  # of 32 powers, from 10^(32 q)
+    big = np.repeat([_power(32 * q) for q in blocks], 32, axis=0)
+    small = np.array([_power(r) for r in range(32)] * len(blocks))
+    big, small = (a[_P_MIN % 32:][:_P_MAX - _P_MIN + 1].T for a in (big, small))
+    p, e = _two_product(_split(big[0]), _split(small[0]))
+    e += big[0] * small[1] + big[1] * small[0]
     hi = p + e
     return hi, e - (hi - p)
 
@@ -102,53 +102,62 @@ _CLASSES = 23
 def _g17_tables():
     """The cached tables of ``_g17``, built with numpy arithmetic at the first call."""
     hi, lo = _powers()
-    text, _, zeros = _digits()
+    text, zeros = _digits()
 
     # by the biased binary exponent of |x|: whether the fast path takes it, the
     # power index of 10^s for s = 16 - floor(log10 2^e), and the least double
     # at or above the next power of ten, where the decade goes up by one
-    e = np.arange(2048) - 1023
-    ok = (e >= -896) & (e < 956)
-    low = np.where(ok, e * 78913 >> 18, 0)  # floor(e log10 2) for |e| < 1650
-    up = low + 1 - _P_MIN
+    e = np.arange(-1023, 1025)
+    ok = (e >= math.log2(_G_MIN)) & (e < math.log2(_G_MAX))
+    low = (e * 78913 >> 18) * ok  # floor(e log10 2) for |e| < 1650
+    up = low + (1 - _P_MIN)
     threshold = (hi[up].view(np.int64) + (lo[up] > 0)).view(float)
 
-    # by class: the point after digit P (17: none), the prefix "0.00.." and the
-    # exponent length; by power index i (the decade 16 - k of 10^k, k = i +
-    # _P_MIN): the class, its exponent text, and the bytes of the digit words
-    # 1 and 2 that move up
-    c = np.arange(_CLASSES)
-    small = c < 4
-    point = np.where(c < 21, np.where(small, 17, c - 3), 1)
-    prefix = np.where(small, 5 - c, 0)
-    elen = np.where(c < 21, 0, 4 + (c == 22))
-    dec = 16 - np.arange(_P_MIN, _P_MAX + 1)
-    cls = np.where((dec >= -4) & (dec <= 16), dec + 4, 21 + (np.abs(dec) >= 100))
-    digits = text.take(np.minimum(np.abs(dec), 999)).astype(np.int64) >> np.where(np.abs(dec) >= 100, 8, 16)
-    exponent = np.where(cls < 21, 0, ord("e") | np.where(dec < 0, ord("-"), ord("+")) << 8 | digits << 16)
+    # by class: the point after digit P (17: none), the length of the prefix
+    # "0.00.." and of the exponent, and the bytes of the digit words 1 and 2
+    # that move up; by power index, from the decade 16 - _P_MIN down: the class
+    # and its exponent text
+    point = [17] * 4 + list(range(1, 18)) + [1, 1]
+    prefix = [5, 4, 3, 2] + [0] * 19
+    elen = [0] * 21 + [4, 5]
+    ones = (1 << 64) - 1
+    moves = [[ones << 8 * p - 8 & ones, ones << 8 * max(p - 9, 0) & ones] for p in point]
+    cls = np.repeat([22, 21, *range(20, -1, -1), 21, 22], [16 - _P_MIN - 99, 83, *[1] * 21, 95, _P_MAX - 115])
+    dec = np.arange(16 - _P_MIN, 15 - _P_MAX, -1)
+    wide = (dec >= 100) | (dec <= -100)
+    exponent = text[dec * (1 - 2 * (dec < 0))] >> (_U(16) - _U(8) * wide) << _U(16)
+    exponent |= _U(ord("e")) | (_U(ord("+")) + _U(2) * (dec < 0)) << _U(8)
+    exponent *= cls >= 21
+
+    # by (class c, digits kept K), an entry 17 c + K - 1: the XOR of words 1 .. 3
+    # that puts in the point where it shows and clears the digits from byte r
+    # on, where the exponent and separator go; by (sign, class, K), the run of
+    # bytes shown, and with the first digit, word 0
+    c = np.arange(_CLASSES * 17) // 17
+    kept = np.arange(_CLASSES * 17) - 17 * c + 1
+    P, z = np.array(point)[c], np.array(prefix)[c]
+    shows = kept > P
+    r = 7 + kept + (P - kept) * (~shows & (z == 0)) + shows
+    pos = np.arange(8, 32)
+    dot = pos == (7 + P)[:, None]
+    xor = 46 * (dot & shows[:, None]) + 48 * ((pos >= r[:, None]) & (pos <= (24 - (P == 17))[:, None]) & ~dot)
+    start = np.concatenate([7 - z, 6 - z])
+    stop = np.tile(r + np.array(elen)[c] + 1, 2)
     pos = np.arange(32)
-    moves = _words(np.where(pos[8:24] >= 7 + point[:, None], 0xFF, 0)).take(cls, axis=0).T
+    masks = _words((pos >= start[:, None]) & (pos < stop[:, None]))
+    word0 = [int.from_bytes((sign + "0.000"[:n]).encode().rjust(7, b"\0"), "little")
+             for sign in ("", "-") for n in prefix]
+    word0 = np.array(word0, _U).repeat(17)[:, None] | np.arange(ord("0"), ord(":"), dtype=_U) << _U(56)
 
-    # by (class, digits kept K): the XOR that puts in the point where it shows
-    # and clears the digits after byte r, where the exponent and separator go
-    P, kept = point[:, None, None], np.arange(1, 18)[:, None]
-    r = 7 + np.where(small[:, None, None], kept, np.maximum(kept, P)) + (kept > P)
-    digit = (pos >= 8) & (pos <= np.where(P < 17, 24, 23)) & (pos != 7 + P)
-    xor = _words(np.where((pos == 7 + P) & (kept > P), ord("."), np.where(digit & (pos >= r), ord("0"), 0))).T
-
-    # by (sign, class, K): the run of bytes shown; with the first digit, word 0
-    neg = np.arange(2)[:, None, None, None]
-    masks = _words((pos >= 7 - neg - prefix[:, None, None]) & (pos < r + elen[:, None, None] + 1))
-    first = 7 - prefix[:, None]
-    word0 = np.where((pos[:8] >= first) & (pos[:8] < 7), np.where(pos[:8] == first + 1, ord("."), ord("0")), 0)
-    word0 = np.where(neg[..., 0] & (pos[:8] == first - 1), ord("-"), word0)
-    word0 = _words(word0).repeat(17)[:, None] | (ord("0") + np.arange(10, dtype=_U)) << _U(56)
+    # by digit group j and its value: the place of its last nonzero digit
+    # among d1 .. d16, 0 if none
+    last = 4 - zeros
     return SimpleNamespace(
         ok=ok, index=16 - low - _P_MIN, threshold=threshold, power=(*_split(hi), lo),
-        exponent=exponent[:, None].astype(_U).T[0], shift=(8 * elen[cls]).astype(_U), row=17 * cls,
-        moves=moves, xor=xor, at=(8 * r).astype(_U).ravel(), masks=masks, word0=word0.ravel(),
+        exponent=exponent, shift=np.array(elen, _U)[cls] * _U(8), row=17 * cls, moves=np.array(moves, _U)[cls].T,
+        xor=_words(xor).T, at=(8 * r).astype(_U), masks=masks, word0=word0.ravel(),
+        last=(last + np.arange(0, 16, 4)[:, None] * (last != 0)).astype(np.uint8).ravel(),
         offsets=np.arange(4)[:, None] * 10**4,
-        last=np.where(np.arange(10**4) == 0, 0, 4 * np.arange(1, 5)[:, None] - zeros).astype(np.uint8).ravel(),
     )
 
 
@@ -209,7 +218,8 @@ def _g17(x, sep, chars, mask):
     """Write each '%.17g' % x and its ``sep`` byte into its field, the last axis
     of ``chars`` and ``mask`` (4 words); returns where the field holds it exactly.
 
-    Each array is dropped once used: the chunk's working set is pinned by a test.
+    Each array is dropped once used, as the chunk's working set sets the
+    peak memory of the largest tables.
     """
     t = _g17_tables()
     shape, x = x.shape, x.ravel()
@@ -225,7 +235,7 @@ def _g17(x, sep, chars, mask):
     del d
     np.floor_divide(groups[1::2], 10**4, out=groups[::2])
     groups[1::2] -= groups[::2] * 10**4
-    _, text, _ = _digits()
+    text, _ = _digits()
     w1, w2 = (text.take(g) for g in groups[1::2])
     w1 <<= _U(32)
     w1 |= text.take(groups[0])
@@ -251,19 +261,19 @@ def _g17(x, sep, chars, mask):
     at = t.at.take(c)
     move &= w1
     w1 += move * _U(255)
-    w1 ^= t.xor[1].take(c)
+    w1 ^= t.xor[0].take(c)
     np.bitwise_or(w1.reshape(shape), (tail << (at - _U(64))).reshape(shape), out=chars[..., 1])
     del w1
     move >>= _U(56)
     up &= w2
     w2 += up * _U(255)
     w2 += move
-    w2 ^= t.xor[2].take(c)
+    w2 ^= t.xor[1].take(c)
     w2 |= tail << (at - _U(128))
     np.bitwise_or(w2.reshape(shape), (tail >> (_U(128) - at)).reshape(shape), out=chars[..., 2])
     del w2
     up >>= _U(56)
-    up ^= t.xor[3].take(c)
+    up ^= t.xor[2].take(c)
     up |= tail << (at - _U(192))
     np.bitwise_or(up.reshape(shape), (tail >> (_U(192) - at)).reshape(shape), out=chars[..., 3])
     return exact.reshape(shape)
@@ -281,9 +291,8 @@ def _f3_tables():
     pos = np.arange(16)[None, None, :]
     minus = _words(np.where((neg == 1) & (pos == 10 - count), ord("0") - ord("-"), 0)).T.copy()
     shown = _words(np.broadcast_to(pos >= 11 - count - neg, (2, 10, 16)))
-    e = np.clip(np.arange(2048) - 1023, 0, 40)
-    low = np.floor(e * np.log10(2.0)).astype(np.int64)
-    _, text, _ = _digits()
+    low = np.arange(-1023, 1025).clip(0, 40) * 78913 >> 18  # floor(e log10 2)
+    text, _ = _digits()
     return minus, shown, low, 10 ** (low + 1), (text[:1000] & _U(0xFFFFFF00) | _U(ord("."))) << _U(24)
 
 
@@ -309,7 +318,7 @@ def _f3(x, sep, chars, mask):
     low = integer - top * 10**8
     mid = low // 10**4
     low -= mid * 10**4
-    _, text, _ = _digits()
+    text, _ = _digits()
     minus, shown, digits, limit, dot = _f3_tables()
     low = text.take(low)
     w0 = text.take(top) >> _U(8)
