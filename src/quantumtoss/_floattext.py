@@ -80,10 +80,10 @@ def _power(s: int) -> tuple[float, float]:
 def _powers():
     """10^k for k = _P_MIN .. _P_MAX as a double-double (hi, lo): the product
     of those of 10^(32 q) and 10^r, r = k mod 32, exact for 0 <= k <= 22."""
-    blocks = range(_P_MIN // 32, _P_MAX // 32 + 1)  # of 32 powers, from 10^(32 q)
-    big = np.repeat([_power(32 * q) for q in blocks], 32, axis=0)
-    small = np.array([_power(r) for r in range(32)] * len(blocks))
-    big, small = (a[_P_MIN % 32:][:_P_MAX - _P_MIN + 1].T for a in (big, small))
+    k = np.arange(_P_MIN, _P_MAX + 1)
+    q = k >> 5
+    big = np.array([_power(32 * j) for j in range(_P_MIN >> 5, (_P_MAX >> 5) + 1)]).T[:, q - (_P_MIN >> 5)]
+    small = np.array([_power(r) for r in range(32)]).T[:, k - (q << 5)]
     p, e = _two_product(_split(big[0]), _split(small[0]))
     e += big[0] * small[1] + big[1] * small[0]
     hi = p + e

@@ -5,7 +5,9 @@ operators, audit, spectrum and sweep take --format json and --out PATH;
 density, classical and compare can additionally write an SVG figure to
 --svg PATH.  Exit codes: 0 success, 2 usage/invalid input, 1
 numerical failure or I/O error; a command that exits non-zero writes
-nothing to stdout.
+nothing to stdout.  Each table or figure is built whole, then written to
+stdout or its file in slices of at most 2^20 characters, so no encoded copy
+of a whole document sits beside its text.
 
     quantumtoss operators  --rounds 2 --mode periodic --format json
     quantumtoss spectrum   --rounds 4

@@ -1075,6 +1075,25 @@ def test_stdout_closed_early_is_an_io_error_when_unbuffered():
     assert err.splitlines() == ["quantumtoss: error: [Errno 32] Broken pipe"], err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_closed_during_a_document_of_several_slices_is_an_io_error(unbuffered):
+    # the density of 200 000 samples is 11 MB, written in slices of 2^20
+    # characters; the reader closes the pipe during the first of them
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(quantumtoss.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quantumtoss", "density", "--n", "1", "--samples", "200000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err.splitlines() == ["quantumtoss: error: [Errno 32] Broken pipe"], err
+
+
 def imported_modules(*args):
     """Names of the modules a fresh ``python -X importtime *args`` imports."""
     src = os.path.dirname(os.path.dirname(quantumtoss.__file__))
