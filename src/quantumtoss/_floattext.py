@@ -58,11 +58,9 @@ def _words(blocks) -> np.ndarray:
 def _digits():
     """The 10^4 words "0000" .. "9999" (first digit in the low byte), and the
     trailing zeros of each (4 for "0000")."""
-    text, zeros = np.arange(ord("0"), ord(":"), dtype=_U), np.array([1] + [0] * 9)
-    for width in (1, 2):  # each word, then each word after it
-        text = (text[:, None] | text << _U(8 * width)).ravel()
-        zeros = (zeros + (zeros == width) * zeros[:, None]).ravel()
-    return text, zeros
+    pairs = np.array([int.from_bytes(b"%02d" % k, "little") for k in range(100)], _U)
+    zeros = np.array([2] + [0] * 9 + ([1] + [0] * 9) * 9, np.uint8)
+    return (pairs[:, None] | pairs << _U(16)).ravel(), (zeros + (zeros == 2) * zeros[:, None]).ravel()
 
 
 def _power(s: int) -> tuple[float, float]:
@@ -107,9 +105,9 @@ def _g17_tables():
     # by the biased binary exponent of |x|: whether the fast path takes it, the
     # power index of 10^s for s = 16 - floor(log10 2^e), and the least double
     # at or above the next power of ten, where the decade goes up by one
-    e = np.arange(-1023, 1025)
-    ok = (e >= math.log2(_G_MIN)) & (e < math.log2(_G_MAX))
-    low = (e * 78913 >> 18) * ok  # floor(e log10 2) for |e| < 1650
+    ok = np.zeros(2048, bool)
+    ok[1023 + int(math.log2(_G_MIN)):1023 + int(math.log2(_G_MAX))] = True
+    low = (np.arange(-1023, 1025) * 78913 >> 18) * ok  # floor(e log10 2) for |e| < 1650
     up = low + (1 - _P_MIN)
     threshold = (hi[up].view(np.int64) + (lo[up] > 0)).view(float)
 
@@ -122,7 +120,7 @@ def _g17_tables():
     elen = [0] * 21 + [4, 5]
     ones = (1 << 64) - 1
     moves = [[ones << 8 * p - 8 & ones, ones << 8 * max(p - 9, 0) & ones] for p in point]
-    cls = np.repeat([22, 21, *range(20, -1, -1), 21, 22], [16 - _P_MIN - 99, 83, *[1] * 21, 95, _P_MAX - 115])
+    cls = np.array([22] * (16 - _P_MIN - 99) + [21] * 83 + [*range(20, -1, -1)] + [21] * 95 + [22] * (_P_MAX - 115))
     dec = np.arange(16 - _P_MIN, 15 - _P_MAX, -1)
     wide = (dec >= 100) | (dec <= -100)
     exponent = text[dec * (1 - 2 * (dec < 0))] >> (_U(16) - _U(8) * wide) << _U(16)
@@ -140,23 +138,23 @@ def _g17_tables():
     r = 7 + kept + (P - kept) * (~shows & (z == 0)) + shows
     pos = np.arange(8, 32)
     dot = pos == (7 + P)[:, None]
-    xor = 46 * (dot & shows[:, None]) + 48 * ((pos >= r[:, None]) & (pos <= (24 - (P == 17))[:, None]) & ~dot)
-    start = np.concatenate([7 - z, 6 - z])
-    stop = np.tile(r + np.array(elen)[c] + 1, 2)
+    xor = (dot & shows[:, None]) * np.uint8(46) + ((pos >= r[:, None]) & (pos <= (24 - (P == 17))[:, None]) & ~dot) * np.uint8(48)
+    start = 7 - z - np.arange(2)[:, None]
     pos = np.arange(32)
-    masks = _words((pos >= start[:, None]) & (pos < stop[:, None]))
+    masks = _words((pos >= start[..., None]) & (pos < (r + np.array(elen)[c] + 1)[:, None]))
     word0 = [int.from_bytes((sign + "0.000"[:n]).encode().rjust(7, b"\0"), "little")
              for sign in ("", "-") for n in prefix]
     word0 = np.array(word0, _U).repeat(17)[:, None] | np.arange(ord("0"), ord(":"), dtype=_U) << _U(56)
 
     # by digit group j and its value: the place of its last nonzero digit
     # among d1 .. d16, 0 if none
-    last = 4 - zeros
+    last = np.uint8(4) - zeros
+    last = ((last + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (last != 0)).ravel()
     return SimpleNamespace(
         ok=ok, index=16 - low - _P_MIN, threshold=threshold, power=(*_split(hi), lo),
         exponent=exponent, shift=np.array(elen, _U)[cls] * _U(8), row=17 * cls, moves=np.array(moves, _U)[cls].T,
         xor=_words(xor).T, at=(8 * r).astype(_U), masks=masks, word0=word0.ravel(),
-        last=(last + np.arange(0, 16, 4)[:, None] * (last != 0)).astype(np.uint8).ravel(),
+        last=last,
         offsets=np.arange(4)[:, None] * 10**4,
     )
 
