@@ -120,6 +120,8 @@ def _g17_tables():
     elen = [0] * 21 + [4, 5]
     ones = (1 << 64) - 1
     moves = [[ones << 8 * p - 8 & ones, ones << 8 * max(p - 9, 0) & ones] for p in point]
+    # the decades 16 - _P_MIN .. 100 have 3 exponent digits, 99 .. 17 two, 16 .. -4
+    # are the fixed classes 20 .. 0, -5 .. -99 have two and -100 .. 16 - _P_MAX three
     cls = np.array([22] * (16 - _P_MIN - 99) + [21] * 83 + [*range(20, -1, -1)] + [21] * 95 + [22] * (_P_MAX - 115))
     dec = np.arange(16 - _P_MIN, 15 - _P_MAX, -1)
     wide = (dec >= 100) | (dec <= -100)
@@ -138,7 +140,8 @@ def _g17_tables():
     r = 7 + kept + (P - kept) * (~shows & (z == 0)) + shows
     pos = np.arange(8, 32)
     dot = pos == (7 + P)[:, None]
-    xor = (dot & shows[:, None]) * np.uint8(46) + ((pos >= r[:, None]) & (pos <= (24 - (P == 17))[:, None]) & ~dot) * np.uint8(48)
+    cleared = (pos >= r[:, None]) & (pos <= (24 - (P == 17))[:, None]) & ~dot  # digits not kept
+    xor = (dot & shows[:, None]) * np.uint8(ord(".")) + cleared * np.uint8(ord("0"))
     start = 7 - z - np.arange(2)[:, None]
     pos = np.arange(32)
     masks = _words((pos >= start[..., None]) & (pos < (r + np.array(elen)[c] + 1)[:, None]))
@@ -154,8 +157,7 @@ def _g17_tables():
         ok=ok, index=16 - low - _P_MIN, threshold=threshold, power=(*_split(hi), lo),
         exponent=exponent, shift=np.array(elen, _U)[cls] * _U(8), row=17 * cls, moves=np.array(moves, _U)[cls].T,
         xor=_words(xor).T, at=(8 * r).astype(_U), masks=masks, word0=word0.ravel(),
-        last=last,
-        offsets=np.arange(4)[:, None] * 10**4,
+        last=last, offsets=np.arange(4)[:, None] * 10**4,
     )
 
 
