@@ -246,7 +246,7 @@ def _g17(x, sep, chars, mask):
     del groups
     c = t.row.take(ip) + c  # (class, digits kept less one)
     index = np.signbit(x) * (_CLASSES * 17) + c
-    np.take(t.masks, index.reshape(shape), axis=0, out=mask, mode="clip")  # unbuffered: no copy
+    np.take(t.masks, index.reshape(shape), axis=0, out=mask, mode="clip")  # "clip" fills a contiguous out in place
     index *= 10
     index += first
     index -= x == 0.0
