@@ -42,7 +42,6 @@ _EXPORTS = {
     "correlation_eigenfunction": "roundwaves",
     "density_peaks": "roundwaves",
     "divergence_scan": "roundwaves",
-    "hermite_zeros": "roundwaves",
     "psi": "roundwaves",
 }
 __all__ = list(_EXPORTS)

@@ -13,6 +13,9 @@ Digits come four at a time from a cached table of the ASCII words "0000" ..
 "0.000" prefix, the first digit, then the other 16 digits; those after the
 decimal point move one byte up (a word plus 255 times its bytes to move),
 and the exponent and separator are shifted in right after the digits kept.
+A ``%.3f`` slot is laid out for the canvas coordinates of ``svgplot``: the
+four digits of an integer part below _F_MAX = 2^13, then ".ddd", its shown
+run starting at the first digit.
 
 For ``%.17g``, an error-free (Dekker) product of |x| with the double-double
 10^s of a cached table gives y = |x| 10^s as p + t with y in [1e16, 1e17);
@@ -21,11 +24,12 @@ double at or above a power of ten.  The 17 correctly rounded digits are
 round-half-even(y), p an exact integer and t carrying the rest to within
 about 1e-14, exactly where 10^s is a double (0 <= s <= 22, which holds most
 exact ties; the others, at s = 23 and 24 such as 3 / 2^24, take the near-tie
-fallback below).  For ``%.3f`` the product |x| * 1000 = p + t is exact.  A
+fallback below).  For ``%.3f`` the product x * 1000 = p + t is exact.  A
 value this path does not decide exactly -- nan, inf, a nonzero |x| outside
-[_G_MIN, _G_MAX) for ``%.17g`` or at least _F_MAX for ``%.3f``, or an inexact
-remainder within 1e-9 of a tie -- shows no byte, and Python's own ``%`` text
-of it goes in at its place.  The tables are built at the first call.
+[_G_MIN, _G_MAX) for ``%.17g``, any value but 0 <= x < _F_MAX with the sign
+bit clear for ``%.3f``, or an inexact remainder within 1e-9 of a tie -- shows
+no byte, and Python's own ``%`` text of it goes in at its place.  The digit
+and ``%.17g`` tables are built at the first call.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .numerics import _SPLIT, _split, _two_product
 
 _CHUNK = 8192  # float values per chunk: 0.5 MB of %.17g words and masks
 _G_MIN, _G_MAX = 2.0**-896, 2.0**956  # 1.9e-270, 6.1e287: no product of the %.17g path under- or overflows
-_F_MAX = 2.0**33  # a %.3f integer part of at most 10 digits
+_F_MAX = 2.0**13  # a %.3f integer part of at most 4 digits, carries included
 _TIE_BAND = 1e-9  # far above the 1e-14 error of an inexact remainder
 _THOUSAND = _split(np.float64(1000.0))
 _P_MIN, _P_MAX = -272, 288  # the powers of ten 10^k of the tables
@@ -132,7 +136,7 @@ def _g17_tables():
     # by (class c, digits kept K), an entry 17 c + K - 1: the XOR of words 1 .. 3
     # that puts in the point where it shows and clears the digits from byte r
     # on, where the exponent and separator go; by (sign, class, K), the run of
-    # bytes shown, and with the first digit, word 0
+    # bytes shown; by (sign, class, first digit), word 0
     c = np.arange(_CLASSES * 17) // 17
     kept = np.arange(_CLASSES * 17) - 17 * c + 1
     P, z = np.array(point)[c], np.array(prefix)[c]
@@ -147,7 +151,7 @@ def _g17_tables():
     masks = _words((pos >= start[..., None]) & (pos < (r + np.array(elen)[c] + 1)[:, None]))
     word0 = [int.from_bytes((sign + "0.000"[:n]).encode().rjust(7, b"\0"), "little")
              for sign in ("", "-") for n in prefix]
-    word0 = np.array(word0, _U).repeat(17)[:, None] | np.arange(ord("0"), ord(":"), dtype=_U) << _U(56)
+    word0 = np.array(word0, _U)[:, None] | np.arange(ord("0"), ord(":"), dtype=_U) << _U(56)
 
     # by digit group j and its value: the place of its last nonzero digit
     # among d1 .. d16, 0 if none
@@ -247,6 +251,7 @@ def _g17(x, sep, chars, mask):
     c = t.row.take(ip) + c  # (class, digits kept less one)
     index = np.signbit(x) * (_CLASSES * 17) + c
     np.take(t.masks, index.reshape(shape), axis=0, out=mask, mode="clip")  # "clip" fills a contiguous out in place
+    index //= 17  # (sign, class)
     index *= 10
     index += first
     index -= x == 0.0
@@ -279,30 +284,20 @@ def _g17(x, sep, chars, mask):
     return exact.reshape(shape)
 
 
-# a %.3f field, 2 words: a pad digit, 10 integer digits | ".ddd", separator;
-# the pad digit before the first shown one becomes "-"
-@functools.cache
-def _f3_tables():
-    """By (sign, integer digits less one): the "-" as a difference of word 0
-    and of word 1, and the bytes shown; by the binary exponent of the integer
-    part: its digits less one were it below the next power of ten, and that
-    power; and ".000" .. ".999" at bytes 3 .. 6."""
-    neg, count = np.arange(2)[:, None, None], np.arange(1, 11)[None, :, None]
-    pos = np.arange(16)[None, None, :]
-    minus = _words(np.where((neg == 1) & (pos == 10 - count), ord("0") - ord("-"), 0)).T.copy()
-    shown = _words(np.broadcast_to(pos >= 11 - count - neg, (2, 10, 16)))
-    low = np.arange(-1023, 1025).clip(0, 40) * 78913 >> 18  # floor(e log10 2)
-    text, _ = _digits()
-    return minus, shown, low, 10 ** (low + 1), (text[:1000] & _U(0xFFFFFF00) | _U(ord("."))) << _U(24)
+# a %.3f field, 2 words: the 4 digits of the integer part, ".ddd", then the
+# separator in word 1.  The fast path takes only canvas coordinates, 0 <= x <
+# _F_MAX with the sign bit clear, so the shown run is that of the integer
+# part's digit count, a row of _F3_SHOWN by the count less one.
+_F3_SHOWN = np.array([[0x0101010101 << 24, 1], [0x010101010101 << 16, 1],
+                      [0x01010101010101 << 8, 1], [0x0101010101010101, 1]], _U)
 
 
 def _f3(x, sep, chars, mask):
     """Write each '%.3f' % x and its ``sep`` byte into its field, the last axis
     of ``chars`` and ``mask`` (2 words); returns where the field holds it exactly."""
     shape, x = x.shape, x.ravel()
-    a = np.abs(x)
-    exact = a < _F_MAX  # False on nan and inf
-    a = np.where(exact, a, 0.0)
+    exact = ~np.signbit(x) & (x < _F_MAX)  # False on -0.0, nan and inf
+    a = np.where(exact, x, 0.0)
     p = a * 1000.0
     whole = np.floor(p)
     p -= whole  # exact, and a multiple of ulp(p) > 2 |t| for a * 1000 == p + t
@@ -314,25 +309,12 @@ def _f3(x, sep, chars, mask):
         r[tie] += (t > 0) | ((t == 0) & ((r[tie] & 1) == 1))
     integer = r // 1000
     r -= integer * 1000
-    top = integer // 10**8
-    low = integer - top * 10**8
-    mid = low // 10**4
-    low -= mid * 10**4
     text, _ = _digits()
-    minus, shown, digits, limit, dot = _f3_tables()
-    low = text.take(low)
-    w0 = text.take(top) >> _U(8)
-    w0 |= text.take(mid) << _U(24)
-    w0 |= low << _U(56)
-    low >>= _U(8)
-    low |= dot.take(r)
-    e = integer.astype(float).view(np.int64) >> 52
-    i = digits.take(e) + (integer >= limit.take(e)) + np.signbit(x) * 10
-    w0 -= minus[0].take(i)
-    low -= minus[1].take(i)
-    chars[..., 0] = w0.reshape(shape)
-    np.bitwise_or(low.reshape(shape), sep << _U(56), out=chars[..., 1])
-    mask[...] = shown.take(i, axis=0).reshape(mask.shape)
+    dot = text.take(r) - _U(ord("0") - ord("."))  # "0ddd" as ".ddd"
+    chars[..., 0] = (text.take(integer) | dot << _U(32)).reshape(shape)
+    chars[..., 1] = sep
+    count = np.searchsorted([10, 100, 1000], integer, "right")  # integer digits less one
+    np.take(_F3_SHOWN, count.reshape(shape), axis=0, out=mask, mode="clip")
     return exact.reshape(shape)
 
 

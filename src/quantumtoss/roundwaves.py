@@ -3,12 +3,12 @@
 In the dimensionless pay-off variable xi the round-n state solves
 -psi'' + xi^2 psi = (2n + 1) psi, so the wavefunctions are normalized
 Hermite functions.  This module evaluates them stably (a round density
-on a grid is ``psi(n, uniform_grid(...)) ** 2``) and takes the
-Hermite zeros and the density peaks from the spectrum of the finite-mode
-pay-off matrix pi1, the peaks with its last coupling set to sqrt(n).  It
-compares against the classical +-1-step random walk seeded with the
-round-zero Gaussian, and scans the normalization divergence of the
-continuous correlation eigenfunctions under both operator orderings.
+on a grid is ``psi(n, uniform_grid(...)) ** 2``) and takes the density
+peaks from the spectrum of the finite-mode pay-off matrix pi1 with its
+last coupling set to sqrt(n).  It compares against the classical
++-1-step random walk seeded with the round-zero Gaussian, and scans the
+normalization divergence of the continuous correlation eigenfunctions
+under both operator orderings.
 """
 
 from __future__ import annotations
@@ -90,25 +90,6 @@ def uniform_grid(xi_min: float, xi_max: float, samples: int) -> np.ndarray:
         return np.linspace(xi_min, xi_max, samples)
 
 
-def _folded_spectrum(m) -> np.ndarray:
-    # ascending eigenvalues of a pi1-like matrix, folded to exact negation symmetry
-    lam = hermitian_eigen(m).eigenvalues
-    return 0.5 * (lam - lam[::-1])
-
-
-def hermite_zeros(n: int) -> np.ndarray:
-    """The n simple real zeros of H_n, ascending.
-
-    They are the eigenvalues of the symmetric tridiagonal Jacobi matrix with
-    off-diagonal sqrt(k/2), k = 1 .. n-1 (Golub & Welsch, 1969), which is
-    the finite-mode pay-off matrix pi1 = (a_plus + a_minus) / sqrt(2) at
-    kappa = 1 on the round states |0> ... |n-1>.  The spectrum from
-    hermitian_eigen is folded to exact negation symmetry, as the zeros are.
-    """
-    as_int(n, "n", 1, PEAKS_N_MAX)
-    return _folded_spectrum(build_operators(GameSpace(n - 1)).pi1)
-
-
 class PeakSet(NamedTuple):
     """Locations of the n + 1 density maxima of round n."""
 
@@ -134,7 +115,8 @@ def density_peaks(n: int) -> PeakSet:
 
     pi1 = build_operators(GameSpace(n)).pi1
     pi1[n, n - 1] = pi1[n - 1, n] = math.sqrt(n)
-    maxima = _folded_spectrum(pi1)
+    lam = hermitian_eigen(pi1).eigenvalues
+    maxima = 0.5 * (lam - lam[::-1])  # folded to exact negation symmetry
 
     # the second difference at step 1e-4, times 1e-8: the sign is all the check reads
     d2 = psi(n, maxima + 1e-4) ** 2 - 2.0 * psi(n, maxima) ** 2 + psi(n, maxima - 1e-4) ** 2

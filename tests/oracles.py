@@ -19,8 +19,8 @@ and ``correlation_value`` the one-state form of the spectrum's
 correlation column.  ``csv_reference`` and
 ``polyline_reference`` are the row-by-row writers that the package's
 column-at-a-time CSV and SVG text must match byte for byte.  ``hermite``,
-``schrodinger_residual``, ``eigenfunction_residual`` and
-``sign_classification`` check the package's wavefunctions,
+``hermite_zeros``, ``schrodinger_residual``, ``eigenfunction_residual`` and
+``sign_classification`` check the package's wavefunctions, density peaks,
 eigenfunctions and sign classes from outside it.
 """
 
@@ -379,6 +379,14 @@ def hermite(n: int, xi):
         big = float(np.max(np.abs(x)))
         raise InputError(f"H_{n} overflows double precision on a grid reaching |xi| = {big:.6g}")
     return float(h[0]) if scalar else h
+
+
+def hermite_zeros(n: int) -> np.ndarray:
+    """The n zeros of H_n, ascending: the eigenvalues of the Jacobi matrix with
+    off-diagonal sqrt(k/2), k = 1 .. n-1 (Golub & Welsch, 1969), from
+    numpy.linalg.eigvalsh."""
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
 
 
 def schrodinger_residual(n: int, grid, h: float) -> float:

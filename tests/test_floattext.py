@@ -9,15 +9,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quantumtoss
 from quantumtoss import svgplot
+from quantumtoss.errors import InputError
 from quantumtoss._floattext import (
     _CHUNK, _F_MAX, _G_MAX, _G_MIN, _P_MAX, _P_MIN, _digits, _g17, _g17_tables, _powers, rows_text,
 )
 from quantumtoss.reports import write_csv
+from quantumtoss.roundwaves import (
+    COMPARE_N_MAX, HERMITE_N_MAX, classical_mixture_density, density_peaks, psi, uniform_grid,
+)
 from quantumtoss.svgplot import render_svg
 
 from oracles import csv_reference, polyline_reference
@@ -217,6 +221,64 @@ def test_render_svg_polyline_bytes_match_the_pair_join():
     px = svgplot.MARGIN_LEFT + (xs - xs.min()) / (xs.max() - xs.min()) * plot_w
     py = svgplot.MARGIN_TOP + (y_hi - ys) / (y_hi - y_lo) * plot_h
     assert points == polyline_reference(px, py)
+
+
+DBL_MAX, TINY = sys.float_info.max, 5e-324
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cli_figures(draw):
+    """The series and marker groups of a density, classical or compare figure:
+    grids of any finite span, spans that reach -DBL_MAX or DBL_MAX and spans a
+    few subnormals wide, flat series, and marker groups outside the data."""
+    samples = draw(st.integers(2, 300))
+    if draw(st.booleans()):  # compare: both densities on its own grid, and its marker groups
+        n = draw(st.integers(1, COMPARE_N_MAX))
+        xi = uniform_grid(-n - 4.0, n + 4.0, samples)
+        peaks = density_peaks(n)
+        markers = [("quantum peaks", peaks.maxima), ("classical centers", peaks.classical_centers)]
+        outside = draw(st.lists(st.floats(-1e6, 1e6), max_size=3))
+        return [("q", xi, psi(n, xi) ** 2), ("c", xi, classical_mixture_density(n, xi))], markers + [("o", outside)]
+    lo, hi = draw(st.one_of(
+        st.tuples(finite, finite),
+        st.tuples(st.just(-DBL_MAX), finite),
+        st.tuples(finite, st.just(DBL_MAX)),
+        st.integers(-10**4, 10**4).flatmap(lambda k: st.tuples(
+            st.just(k * TINY), st.integers(k + 1, k + 8).map(lambda m: m * TINY))),
+    ))
+    try:
+        xi = uniform_grid(lo, hi, samples)
+    except InputError:  # the command rejects the span
+        assume(False)
+    n = draw(st.integers(0, HERMITE_N_MAX))
+    y = draw(st.sampled_from([lambda: psi(n, xi) ** 2, lambda: classical_mixture_density(n, xi),
+                              lambda: np.zeros_like(xi)]))()
+    return [("s", xi, y)], []
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_figures())
+def test_figure_coordinates_lie_on_the_canvas(figure):
+    # the %.3f fast path is laid out for these: every coordinate render_svg
+    # writes is in [0, WIDTH] x [0, HEIGHT], its sign bit clear
+    series, markers = figure
+    doc = render_svg(series, markers)
+    marks = [float(x) for _, xs in markers for x in xs]
+    x_lo, x_hi = svgplot._axis(min([float(np.min(x)) for _, x, _ in series] + marks),
+                               max([float(np.max(x)) for _, x, _ in series] + marks), 0.0)
+    y_lo, y_hi = svgplot._axis(min(float(np.min(y)) for _, _, y in series),
+                               max(float(np.max(y)) for _, _, y in series), 0.05)
+    plot_w = svgplot.WIDTH - svgplot.MARGIN_LEFT - svgplot.MARGIN_RIGHT
+    plot_h = svgplot.HEIGHT - svgplot.MARGIN_TOP - svgplot.MARGIN_BOTTOM
+    lines = [line.split('"')[1] for line in doc.splitlines() if line.startswith("<polyline")]
+    assert len(lines) == len(series)
+    for (_, x, y), points in zip(series, lines):
+        px = svgplot.MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        py = svgplot.MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
+        for v, top in ((px, svgplot.WIDTH), (py, svgplot.HEIGHT)):
+            assert not np.signbit(v).any() and v.max() <= top < _F_MAX
+        assert points == polyline_reference(px, py)
 
 
 @pytest.mark.parametrize("end", [",", " ", "\n"])

@@ -17,12 +17,11 @@ from quantumtoss.roundwaves import (
     correlation_eigenfunction,
     density_peaks,
     divergence_scan,
-    hermite_zeros,
     psi,
     uniform_grid,
 )
 
-from oracles import eigenfunction_residual, hermite, scan_density_maxima, schrodinger_residual
+from oracles import eigenfunction_residual, hermite, hermite_zeros, scan_density_maxima, schrodinger_residual
 
 
 def quad_grid(n, step=1e-3):
@@ -140,38 +139,6 @@ def test_densities_vanish_without_warning_on_huge_grids():
     np.testing.assert_array_equal(psi(2, xs), [0.0, psi(2, 0.0), 0.0])
     center = classical_mixture_density(3, np.zeros(1))[0]
     np.testing.assert_array_equal(classical_mixture_density(3, xs), [0.0, center, 0.0])
-
-
-def test_hermite_zeros_frozen():
-    np.testing.assert_allclose(hermite_zeros(1), [0.0], atol=1e-12)
-    np.testing.assert_allclose(
-        hermite_zeros(2), [-math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12
-    )
-    np.testing.assert_allclose(
-        hermite_zeros(3), [-math.sqrt(1.5), 0.0, math.sqrt(1.5)], atol=1e-12
-    )
-
-
-def test_hermite_zeros_interlace_and_annihilate():
-    for n in range(2, 21):
-        zs = hermite_zeros(n)
-        assert len(zs) == n
-        assert np.all(np.diff(zs) > 0)
-        # check on the bounded wavefunction; raw H_n grows too steeply there
-        np.testing.assert_allclose(psi(n, zs), np.zeros(n), atol=1e-10)
-        prev = hermite_zeros(n - 1)
-        assert np.all(prev > zs[:-1]) and np.all(prev < zs[1:])
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 31, 64, 100])
-def test_hermite_zeros_match_eigvalsh(n):
-    # Golub-Welsch: the zeros are the eigenvalues of the Jacobi matrix with
-    # off-diagonal sqrt(k/2); eigvalsh is a test oracle only
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    jacobi = np.diag(off, 1) + np.diag(off, -1)
-    zs = hermite_zeros(n)
-    np.testing.assert_allclose(zs, np.linalg.eigvalsh(jacobi), rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(zs, -zs[::-1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 31, 64, 100])
@@ -458,9 +425,11 @@ def test_residual_and_divergence_reject_short_or_non_finite_input():
 
 
 def test_density_peaks_rejects_a_point_that_is_not_a_maximum(monkeypatch, capsys):
-    # +0.6 moves the maximum of P_3 at -0.602 next to its zero at 0, a minimum
-    folded = roundwaves._folded_spectrum
-    monkeypatch.setattr(roundwaves, "_folded_spectrum", lambda m: folded(m) + 0.6)
+    # a hundredth of each eigenvalue moves the maxima of P_3 at +-0.602 next to
+    # its zero at 0, a minimum
+    eigen = roundwaves.hermitian_eigen
+    monkeypatch.setattr(roundwaves, "hermitian_eigen",
+                        lambda m: eigen(m)._replace(eigenvalues=eigen(m).eigenvalues / 100))
     with pytest.raises(ConvergenceError, match="is not a density maximum"):
         density_peaks(3)
     assert run_cli(["peaks", "--n", "3"]) == 1

@@ -1194,7 +1194,7 @@ EXPORTS = (
     "build_ladder", "build_operators", "payoff_variance", "SpectralDecomposition", "adjoint",
     "commutator", "hermitian_eigen", "ComparisonReport", "DivergenceReport", "PeakSet",
     "classical_mixture_density", "compare_quantum_classical", "correlation_eigenfunction",
-    "density_peaks", "divergence_scan", "hermite_zeros", "psi",
+    "density_peaks", "divergence_scan", "psi",
 )
 
 

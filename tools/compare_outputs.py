@@ -38,7 +38,9 @@ FIELDS_BYTES_MAX = 32 << 20
 
 # besides the commands of tests/golden.py: the largest JSON document, the
 # spectrum path at its ceilings, grids whose end product overflows inside
-# linspace, and rejected input
+# linspace, figures at the edges of the %.3f canvas path (a span reaching
+# -DBL_MAX or DBL_MAX, a flat series, a span a few subnormals wide), and
+# rejected input
 PINNED = [
     ["operators", "--rounds", "511", "--format", "json"],
     ["spectrum", "--rounds", "511"],
@@ -49,6 +51,10 @@ PINNED = [
     ["classical", "--n", "3", "--xi-min", "0", "--xi-max", DBL_MAX, "--samples", "128"],
     ["corr-eigen", "--lambda", "0", "--ordering", "weyl", "--xi-min", "1", "--xi-max", DBL_MAX,
      "--samples", "4"],
+    ["density", "--n", "4", "--xi-min", "-" + DBL_MAX, "--xi-max", "3", "--samples", "227", "--svg", "fig.svg"],
+    ["classical", "--n", "3", "--xi-min", "0", "--xi-max", DBL_MAX, "--samples", "128", "--svg", "fig.svg"],
+    ["classical", "--n", "0", "--xi-min", "100", "--xi-max", "200", "--samples", "64", "--svg", "fig.svg"],
+    ["density", "--n", "1", "--xi-min", "-1e-320", "--xi-max", "1e-320", "--samples", "5", "--svg", "fig.svg"],
     # rejected input, each message naming its value
     ["diverge", "--kind", "weyl", "--cutoffs", "0.5,0.1,0.01"],
     ["diverge", "--kind", "plane", "--cutoffs", "2,4,inf,8"],
