@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import quantumtoss
 from quantumtoss import svgplot
-from quantumtoss.errors import InputError
 from quantumtoss._floattext import (
     _CHUNK, _F_MAX, _G_MAX, _G_MIN, _P_MAX, _P_MIN, _digits, _g17, _g17_tables, _powers, rows_text,
 )
+from quantumtoss.errors import InputError
 from quantumtoss.reports import write_csv
 from quantumtoss.roundwaves import (
     COMPARE_N_MAX, HERMITE_N_MAX, classical_mixture_density, density_peaks, psi, uniform_grid,
